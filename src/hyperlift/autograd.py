@@ -32,10 +32,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -74,12 +70,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -194,8 +184,9 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t._grad_relevant():  # no reduction for a frozen operand
+                _accum(t, _unbroadcast(g, t.data.shape))
 
     return _make(out_data, "add", (a, b), backward)
 
@@ -205,8 +196,9 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        for t, other in ((a, b), (b, a)):
+            if t._grad_relevant():
+                _accum(t, _unbroadcast(g * other.data, t.data.shape))
 
     return _make(out_data, "mul", (a, b), backward)
 
@@ -216,8 +208,10 @@ def div(a, b) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a._grad_relevant():
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b._grad_relevant():
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, "div", (a, b), backward)
 
@@ -240,12 +234,12 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         # Fast path: stacked input against a plain weight matrix (the common
-        # case in the encoders) collapses to two flat GEMMs.
+        # case in the encoders) collapses to two flat GEMMs, skipped for a
+        # frozen operand.
         if a.ndim >= 2 and b.ndim == 2:
-            _accum(a, g @ b.data.T)
-            if a.ndim == 2:
-                _accum(b, a.data.T @ g)
-            else:
+            if a._grad_relevant():
+                _accum(a, g @ b.data.T)
+            if b._grad_relevant():
                 d_in, d_out = b.data.shape
                 _accum(b, a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
             return
@@ -529,8 +523,12 @@ def layer_normalize(x, gain, bias, eps=1e-5) -> Tensor:
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+        if gain._grad_relevant():
+            _accum(gain, (g * xhat).sum(axis=lead))
+        if bias._grad_relevant():
+            _accum(bias, g.sum(axis=lead))
+        if not x._grad_relevant():
+            return
         dxhat = g * gain.data
         dx = inv_std * (
             dxhat

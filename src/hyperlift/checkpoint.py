@@ -6,6 +6,7 @@ adapted models the PEFT config). Round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -16,7 +17,10 @@ FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 
 
-def _meta_block(model: DualEncoder, kind: str, extra=None) -> dict:
+def _write(model: DualEncoder, kind: str, path, extra=None):
+    """Write every tensor plus the metadata block. The archive goes to a
+    temporary file first and replaces `path` only once complete, so a failed
+    or killed save leaves any previous checkpoint intact."""
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -25,28 +29,29 @@ def _meta_block(model: DualEncoder, kind: str, extra=None) -> dict:
         "vision_cfg": model.vision_cfg.to_dict(),
         "trainable": sorted(model.store.trainable),
         "no_decay": sorted(model.store.no_decay),
+        **(extra or {}),
     }
-    if extra:
-        meta.update(extra)
-    return meta
+    arrays = {name: t.data for name, t in model.store.items()}
+    arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        # a file handle, not a name: np.savez appends ".npz" to names
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_euclidean(model: DualEncoder, path):
-    arrays = {name: t.data for name, t in model.store.items()}
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(_meta_block(model, "euclidean")).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
+    _write(model, "euclidean", path)
 
 
 def save_adapted(model: AdaptedModel, path):
-    enc = model.encoder
     extra = {"peft": model.peft.to_dict(), "tau_min": model.tau_min}
-    arrays = {name: t.data for name, t in enc.store.items()}
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(_meta_block(enc, "adapted", extra)).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
+    _write(model.encoder, "adapted", path, extra)
 
 
 def _read(path):
@@ -79,24 +84,25 @@ def load_kind(path) -> str:
     return meta["kind"]
 
 
-def load_euclidean(path) -> DualEncoder:
+def _rebuild(path, kind: str):
+    """Read a checkpoint of `kind` and a fresh encoder of its architecture."""
     meta, arrays = _read(path)
-    if meta["kind"] != "euclidean":
-        raise ValueError(f"expected a euclidean checkpoint, got {meta['kind']!r}")
-    model = DualEncoder(
+    if meta["kind"] != kind:
+        raise ValueError(f"expected a {kind!r} checkpoint, got {meta['kind']!r}")
+    enc = DualEncoder(
         EncoderConfig(**meta["text_cfg"]), EncoderConfig(**meta["vision_cfg"]), seed=meta["seed"]
     )
+    return meta, arrays, enc
+
+
+def load_euclidean(path) -> DualEncoder:
+    meta, arrays, model = _rebuild(path, "euclidean")
     _restore_store(model, meta, arrays)
     return model
 
 
 def load_adapted(path) -> AdaptedModel:
-    meta, arrays = _read(path)
-    if meta["kind"] != "adapted":
-        raise ValueError(f"expected an adapted checkpoint, got {meta['kind']!r}")
-    enc = DualEncoder(
-        EncoderConfig(**meta["text_cfg"]), EncoderConfig(**meta["vision_cfg"]), seed=meta["seed"]
-    )
+    meta, arrays, enc = _rebuild(path, "adapted")
     peft = PeftConfig.from_dict(meta["peft"])
     # Rebuilding through the assembler recreates the exact parameter name set
     # (adaptation tensors, manifold scalars, temperature); arrays overwrite it.

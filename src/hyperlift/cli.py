@@ -11,11 +11,11 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import ConfigError, load_run_config
-from .data import Tokenizer, generate_corpus, generate_vqa, load_vqa, save_jsonl
+from .config import load_run_config
+from .data import generate_corpus, generate_vqa, load_vqa, save_jsonl
 from .encoders import DualEncoder, EncoderConfig
 from .evaluation import evaluate, geometry_report
-from .peft import ConfigurationError, PeftConfig, assemble_adapted_model, count_trainable_params
+from .peft import ConfigError, PeftConfig, assemble_adapted_model, count_trainable_params
 from .training import TrainingDiverged, adapt as run_adapt, pretrain_euclidean
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ConfigurationError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:

@@ -5,17 +5,13 @@ Unknown keys are rejected so a typo cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from .encoders import EncoderConfig
 from .manifold import ConeParams
 from .objectives import LossConfig
-from .peft import PeftConfig
+from .peft import ConfigError, PeftConfig
 from .training import TrainConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -25,9 +21,6 @@ class DataConfig:
     glyph_set_size: int = 8
     vqa_seed: int = 1
     n_vqa: int = 2000
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -48,9 +41,7 @@ def _build(cls, d: dict, path: str):
         raise ConfigError(f"section {path!r} must be an object")
     try:
         return cls(**d)
-    except TypeError as exc:
-        raise ConfigError(f"in section {path!r}: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"in section {path!r}: {exc}") from None
 
 

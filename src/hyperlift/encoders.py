@@ -19,7 +19,6 @@ from .data import neftune_noise
 
 ATTN_MASK_VALUE = -1e9
 
-BLOCK_MATRIX_KEYS = ("wq", "wk", "wv", "wo", "fc1_w", "fc2_w")
 LORA_KEY_BY_TARGET = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "fc1": "fc1_w", "fc2": "fc2_w"}
 
 

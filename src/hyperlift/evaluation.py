@@ -13,8 +13,8 @@ import numpy as np
 
 from .autograd import no_grad
 from .data import Tokenizer, VqaItem
-from .manifold import ConeParams, exterior_angle, half_aperture, lorentz_radius
-from .objectives import DEFAULT_ENTAILMENT_PAIRS
+from .manifold import ConeParams, exterior_angle, geodesic_distance, half_aperture, lorentz_radius
+from .objectives import DEFAULT_ENTAILMENT_PAIRS, pair_rows
 from .peft import AdaptedModel
 from .training import CorpusBatcher
 
@@ -52,18 +52,18 @@ def form_queries(question: str, candidates: list[str], tokenizer: Tokenizer) -> 
 
 
 def _candidate_distances(model: AdaptedModel, images, token_batch, lengths) -> np.ndarray:
-    """(n_items, 4) geodesic distances between each image and its 4 queries."""
-    from .manifold import geodesic_distance
-
+    """(n_items, 4) geodesic distances between each image and its 4 queries.
+    Each distinct query row is encoded once: VQA sets repeat a few question
+    and answer strings, and rows encode independently of their batch."""
+    slots = {}  # distinct (tokens, length) row -> its slot among the encoded rows
+    inverse = np.array([slots.setdefault((row.tobytes(), n), len(slots))
+                        for row, n in zip(token_batch, lengths.tolist())])
+    firsts = np.unique(inverse, return_index=True)[1]
     with no_grad():
-        img_pts = model.embed_image(images).data            # (M, n+1)
-        txt_pts = model.embed_text(token_batch, lengths).data  # (4M, n+1)
-        kappa = model.manifold.kappa.item()
-    m = img_pts.shape[0]
-    txt = txt_pts.reshape(m, 4, -1)
-    inner = (img_pts[:, None, :-1] * txt[:, :, :-1]).sum(-1) - img_pts[:, None, -1] * txt[:, :, -1]
-    arg = np.maximum(-kappa * inner, 1.0)
-    return np.sqrt(1.0 / kappa) * np.arccosh(arg)
+        img_pts = model.embed_image(images).data                                 # (M, n+1)
+        txt_pts = model.embed_text(token_batch[firsts], lengths[firsts]).data  # (U, n+1)
+        txt = txt_pts[inverse].reshape(img_pts.shape[0], 4, -1)
+        return geodesic_distance(img_pts[:, None, :], txt, model.manifold.kappa).data
 
 
 def predict_answer(image, queries: list[list[int]], model: AdaptedModel,
@@ -129,12 +129,9 @@ def geometry_report(corpus_sample, model: AdaptedModel, tokenizer=None,
             }
             for name, p in pts.items():
                 radii[name].append(lorentz_radius(p, kappa).data)
-            parent_map = batch["box_parent"]
             for parent_name, child_name in DEFAULT_ENTAILMENT_PAIRS:
-                ppts, cpts = pts[parent_name], pts[child_name]
-                if ppts.shape[0] != cpts.shape[0]:
-                    cpts = cpts[parent_map] if parent_name.endswith("_box") else cpts
-                    ppts = ppts[parent_map] if not parent_name.endswith("_box") else ppts
+                ppts, cpts = pair_rows(pts[parent_name], pts[child_name], parent_name,
+                                       batch["box_parent"])
                 ext = exterior_angle(ppts, cpts, kappa).data
                 psi = half_aperture(ppts, kappa, cone).data
                 contained += int((ext <= psi).sum())

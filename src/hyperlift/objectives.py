@@ -32,8 +32,6 @@ DEFAULT_ENTAILMENT_PAIRS = (
     ("image_box", "image"),
 )
 
-CATEGORIES = ("image", "text", "image_box", "text_box")
-
 
 @dataclass
 class LossConfig:
@@ -62,9 +60,6 @@ class BatchEmbeddings:
     text_box: Tensor
     box_parent: np.ndarray
 
-    def category(self, name: str) -> Tensor:
-        return getattr(self, name)
-
     @property
     def batch_size(self) -> int:
         return self.image.shape[0]
@@ -87,6 +82,17 @@ def contrastive_hcc(batch: BatchEmbeddings, tau: Tensor, kappa: Tensor) -> Tenso
     scene = _info_nce(pairwise_geodesic_distance(batch.image, batch.text, kappa), tau)
     box = _info_nce(pairwise_geodesic_distance(batch.image_box, batch.text_box, kappa), tau)
     return (scene + box) * 0.5
+
+
+def pair_rows(parent, child, parent_name: str, box_parent):
+    """Align the rows of one parent->child relation. Scene and box rows differ
+    in count; the scene side repeats its row once per box (`box_parent`)."""
+    if parent.shape[0] != child.shape[0]:
+        if parent_name.endswith("_box"):
+            child = child[box_parent]
+        else:
+            parent = parent[box_parent]
+    return parent, child
 
 
 def entailment_violation(parent, child, kappa, cone: ConeParams) -> Tensor:
@@ -114,14 +120,8 @@ def entailment_hce(batch: BatchEmbeddings, kappa: Tensor, config: LossConfig) ->
     """Cone-violation hinge averaged over the configured parent->child pairs."""
     terms = []
     for parent_name, child_name in config.entailment_pairs:
-        parent = batch.category(parent_name)
-        child = batch.category(child_name)
-        if parent.shape[0] != child.shape[0]:
-            # box -> scene pairing: broadcast the scene row per box
-            if parent_name.endswith("_box"):
-                child = child[batch.box_parent]
-            else:
-                parent = parent[batch.box_parent]
+        parent, child = pair_rows(getattr(batch, parent_name), getattr(batch, child_name),
+                                  parent_name, batch.box_parent)
         terms.append(entailment_violation(parent, child, kappa, config.cone).mean())
     return ag.stack(terms).mean()
 

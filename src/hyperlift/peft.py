@@ -14,21 +14,21 @@ architectures that are never instantiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .encoders import DualEncoder, EncoderConfig, LORA_KEY_BY_TARGET, trunc_normal
-from .manifold import ManifoldParams
+from .manifold import ManifoldParams, lift
 
 PEFT_METHODS = ("bias", "layernorm", "seq_adapter", "par_adapter", "lora")
 LORA_TARGETS = ("q", "k", "v", "o", "fc1", "fc2")
 
 
-class ConfigurationError(ValueError):
-    pass
+class ConfigError(ValueError):
+    """An invalid run, PEFT or architecture configuration."""
 
 
 @dataclass
@@ -44,18 +44,18 @@ class PeftConfig:
 
     def __post_init__(self):
         if self.method not in PEFT_METHODS:
-            raise ConfigurationError(f"unknown method {self.method!r}; expected one of {PEFT_METHODS}")
+            raise ConfigError(f"unknown method {self.method!r}; expected one of {PEFT_METHODS}")
         self.vision_layers = tuple(sorted(self.vision_layers))
         self.text_layers = tuple(sorted(self.text_layers))
         self.lora_targets = tuple(self.lora_targets)
         if self.lora_rank < 1 or self.bottleneck_dim < 1:
-            raise ConfigurationError("lora_rank and bottleneck_dim must be >= 1")
+            raise ConfigError("lora_rank and bottleneck_dim must be >= 1")
         if self.method == "lora":
             if not self.lora_targets:
-                raise ConfigurationError("lora requires a non-empty target set")
+                raise ConfigError("lora requires a non-empty target set")
             bad = set(self.lora_targets) - set(LORA_TARGETS)
             if bad:
-                raise ConfigurationError(f"unknown lora targets {sorted(bad)}")
+                raise ConfigError(f"unknown lora targets {sorted(bad)}")
 
     def layers_for(self, side: str) -> tuple:
         return self.text_layers if side == "text" else self.vision_layers
@@ -74,9 +74,9 @@ class PeftConfig:
 
     def validate_for(self, text_cfg: EncoderConfig, vision_cfg: EncoderConfig):
         if any(i < 0 or i >= vision_cfg.n_layers for i in self.vision_layers):
-            raise ConfigurationError("vision layer index out of range")
+            raise ConfigError("vision layer index out of range")
         if any(i < 0 or i >= text_cfg.n_layers for i in self.text_layers):
-            raise ConfigurationError("text layer index out of range")
+            raise ConfigError("text layer index out of range")
 
 
 def last_k_layers(n_layers: int, k: int) -> tuple:
@@ -172,14 +172,10 @@ class AdaptedModel:
         return ag.clamp(ag.exp(self.log_tau), lo=self.tau_min)
 
     def embed_text(self, tokens, lengths=None, noise_rng=None, neftune_alpha=0.0) -> Tensor:
-        from .manifold import lift
-
         v = self.encoder.encode_text(tokens, lengths, noise_rng=noise_rng, neftune_alpha=neftune_alpha)
         return lift(v, "text", self.manifold)
 
     def embed_image(self, images) -> Tensor:
-        from .manifold import lift
-
         return lift(self.encoder.encode_image(images), "image", self.manifold)
 
 
@@ -228,7 +224,7 @@ def _per_block_counts(d: int, mlp_dim: int, peft: PeftConfig) -> int:
                 "fc1": (d, mlp_dim), "fc2": (mlp_dim, d)}
         return sum(peft.lora_rank * (d_in + d_out) for d_in, d_out in
                    (dims[t] for t in peft.lora_targets))
-    raise ConfigurationError(peft.method)
+    raise ConfigError(peft.method)
 
 
 N_SCALARS = 4  # curvature, two projection scalars, contrastive temperature

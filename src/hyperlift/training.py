@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import ParamStore, Tensor
+from .autograd import ParamStore
 from .data import CompositionalSample, Tokenizer
 from .objectives import BatchEmbeddings, LossConfig, total_loss
 from .peft import AdaptedModel
@@ -19,7 +19,7 @@ from .peft import AdaptedModel
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step, batch_indices, parts):
-        super().__init__(f"non-finite loss at step {step}: {parts}")
+        super().__init__(f"non-finite value at step {step}: {parts}")
         self.step = step
         self.batch_indices = list(map(int, batch_indices))
         self.parts = parts
@@ -43,9 +43,6 @@ class TrainConfig:
             raise ValueError("warmup_steps must be < steps")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:
@@ -158,20 +155,41 @@ class CorpusBatcher:
         }
 
 
-def pretrain_euclidean(corpus, model, cfg: TrainConfig, tokenizer=None, metrics_path=None) -> MetricsLog:
-    """Train the Euclidean dual encoder with symmetric cosine-similarity
-    contrastive loss; its checkpoint becomes the frozen adaptation backbone."""
+def _train(corpus, store: ParamStore, cfg: TrainConfig, tokenizer, metrics_path,
+           loss_fn, log_fields=dict) -> MetricsLog:
+    """The loop both trainers share. Per step: sample, gather, zero-grad,
+    `loss_fn(batch) -> (loss, parts)`, divergence check, backward, clip,
+    step, then one metrics record of `parts`, step, lr and `log_fields()`.
+    A non-finite loss or gradient norm raises before the update."""
     if not corpus:
         raise ValueError("corpus must be nonempty")
-    tokenizer = tokenizer or Tokenizer(model.text_cfg.max_len)
     batcher = CorpusBatcher(corpus, tokenizer, cfg.seed)
-    optimizer = AdamW(model.store, cfg)
+    optimizer = AdamW(store, cfg)
     metrics = MetricsLog(metrics_path)
-    idx = np.arange(cfg.batch_size)
     for step in range(cfg.steps):
         batch_idx = batcher.sample_indices(cfg.batch_size)
         batch = batcher.gather(batch_idx)
-        model.store.zero_grads()
+        store.zero_grads()
+        loss, parts = loss_fn(batch)
+        if not np.isfinite(loss.item()):
+            raise TrainingDiverged(step, batch_idx, parts)
+        loss.backward()
+        grad_norm = optimizer.clip_gradients()
+        if not math.isfinite(grad_norm):
+            raise TrainingDiverged(step, batch_idx, {"grad_norm": grad_norm})
+        optimizer.step(lr_schedule(step + 1, cfg))
+        if step % cfg.log_every == 0 or step == cfg.steps - 1:
+            parts.update(step=step, lr=lr_schedule(step + 1, cfg), **log_fields())
+            metrics.emit(parts)
+    return metrics
+
+
+def pretrain_euclidean(corpus, model, cfg: TrainConfig, tokenizer=None, metrics_path=None) -> MetricsLog:
+    """Train the Euclidean dual encoder with symmetric cosine-similarity
+    contrastive loss; its checkpoint becomes the frozen adaptation backbone."""
+    idx = np.arange(cfg.batch_size)
+
+    def loss_fn(batch):
         v_img = model.encode_image(batch["images"])
         v_txt = model.encode_text(batch["tokens"], batch["lengths"])
         v_img = v_img / ag.l2_norm(v_img, axis=-1, keepdims=True)
@@ -180,32 +198,20 @@ def pretrain_euclidean(corpus, model, cfg: TrainConfig, tokenizer=None, metrics_
         row = ag.log_softmax(logits, axis=1)[idx, idx]
         col = ag.log_softmax(logits, axis=0)[idx, idx]
         loss = -(row.mean() + col.mean()) * 0.5
-        if not np.isfinite(loss.item()):
-            raise TrainingDiverged(step, batch_idx, {"loss": loss.item()})
-        loss.backward()
-        optimizer.clip_gradients()
-        optimizer.step(lr_schedule(step + 1, cfg))
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            metrics.emit({"step": step, "loss": loss.item(), "lr": lr_schedule(step + 1, cfg)})
-    return metrics
+        return loss, {"loss": loss.item()}
+
+    tokenizer = tokenizer or Tokenizer(model.text_cfg.max_len)
+    return _train(corpus, model.store, cfg, tokenizer, metrics_path, loss_fn)
 
 
 def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
           tokenizer=None, metrics_path=None) -> MetricsLog:
     """Hyperbolic adaptation: compositional contrastive + entailment hinge on
     the PEFT-wrapped model. Frozen tensors are never updated."""
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
-    enc = model.encoder
-    tokenizer = tokenizer or Tokenizer(enc.text_cfg.max_len)
-    batcher = CorpusBatcher(corpus, tokenizer, cfg.seed)
-    optimizer = AdamW(enc.store, cfg)
-    metrics = MetricsLog(metrics_path)
     noise_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x0E11)))
-    for step in range(cfg.steps):
-        batch_idx = batcher.sample_indices(cfg.batch_size)
-        batch = batcher.gather(batch_idx)
-        enc.store.zero_grads()
+
+    def loss_fn(batch):
+        # NEFTune draws in a fixed order: scene captions, then box captions.
         emb = BatchEmbeddings(
             image=model.embed_image(batch["images"]),
             text=model.embed_text(batch["tokens"], batch["lengths"],
@@ -215,20 +221,15 @@ def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
                                       noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha),
             box_parent=batch["box_parent"],
         )
-        loss, parts = total_loss(emb, model.tau, model.manifold.kappa, loss_cfg)
-        if not np.isfinite(loss.item()):
-            raise TrainingDiverged(step, batch_idx, parts)
-        loss.backward()
-        optimizer.clip_gradients()
-        optimizer.step(lr_schedule(step + 1, cfg))
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            parts.update(
-                step=step,
-                lr=lr_schedule(step + 1, cfg),
-                kappa=model.manifold.kappa.item(),
-                tau=model.tau.item(),
-                alpha_img=model.manifold.alpha("image").item(),
-                alpha_txt=model.manifold.alpha("text").item(),
-            )
-            metrics.emit(parts)
-    return metrics
+        return total_loss(emb, model.tau, model.manifold.kappa, loss_cfg)
+
+    def log_fields():
+        return {
+            "kappa": model.manifold.kappa.item(),
+            "tau": model.tau.item(),
+            "alpha_img": model.manifold.alpha("image").item(),
+            "alpha_txt": model.manifold.alpha("text").item(),
+        }
+
+    tokenizer = tokenizer or Tokenizer(model.encoder.text_cfg.max_len)
+    return _train(corpus, model.store, cfg, tokenizer, metrics_path, loss_fn, log_fields)

@@ -81,3 +81,24 @@ class TestAdapted:
         assert load_kind(path) == "adapted"
         with pytest.raises(ValueError, match="adapted"):
             load_euclidean(path)
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "euc.npz"
+        model = euclidean_model(seed=3)
+        save_euclidean(model, path)
+        real_savez = np.savez
+
+        def interrupted_savez(file, **arrays):
+            real_savez(file, **dict(list(arrays.items())[:1]))  # a truncated archive
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", interrupted_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_euclidean(euclidean_model(seed=4), path)
+        monkeypatch.undo()
+        loaded = load_euclidean(path)
+        for name, t in model.store.items():
+            assert np.array_equal(loaded.store[name].data, t.data), name
+        assert [p.name for p in tmp_path.iterdir()] == ["euc.npz"]

@@ -91,6 +91,23 @@ class TestPrediction:
             queries = form_queries(it.question, it.candidates, tok)
             assert predict_answer(it.image, queries, model, tok) == rec["predicted"]
 
+    def test_distances_equal_encoding_every_query(self, model, vqa):
+        # evaluate encodes each distinct query once; its distances must be
+        # exactly those of encoding every query row of every item
+        from hyperlift.autograd import no_grad
+        from hyperlift.manifold import geodesic_distance
+
+        tok = Tokenizer()
+        queries = [q for it in vqa for q in form_queries(it.question, it.candidates, tok)]
+        assert len(set(map(tuple, queries))) < len(queries)
+        tokens, lengths = tok.pad_batch(queries, width=tok.max_len)
+        with no_grad():
+            img = model.embed_image(np.stack([it.image for it in vqa])).data
+            txt = model.embed_text(tokens, lengths).data.reshape(len(vqa), 4, -1)
+            expected = geodesic_distance(img[:, None, :], txt, model.manifold.kappa).data
+        report = evaluate(vqa, model, batch_size=len(vqa))
+        assert np.array_equal([rec["distances"] for rec in report.per_item], expected)
+
     def test_batch_size_does_not_change_predictions(self, model, vqa):
         a = evaluate(vqa, model, batch_size=7)
         b = evaluate(vqa, model, batch_size=64)

@@ -11,7 +11,7 @@ from hyperlift.peft import (
     CLIP_B_VISION,
     CLIP_S_TEXT,
     CLIP_S_VISION,
-    ConfigurationError,
+    ConfigError,
     N_SCALARS,
     PEFT_METHODS,
     PeftConfig,
@@ -45,18 +45,18 @@ def sample_inputs(rng=None):
 
 class TestConfig:
     def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             PeftConfig(method="prefix")
 
     def test_bad_lora_targets_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             PeftConfig(method="lora", lora_targets=("q", "z"))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             PeftConfig(method="lora", lora_targets=())
 
     def test_layer_bounds_checked_against_architecture(self):
         cfg = EncoderConfig()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             PeftConfig(method="bias", text_layers=(7,)).validate_for(cfg, cfg)
 
     def test_lora_scale_rank_stabilized(self):

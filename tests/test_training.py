@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hyperlift.autograd import ParamStore
+from hyperlift.autograd import ParamStore, Tensor
 from hyperlift.data import Tokenizer, generate_corpus
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.objectives import LossConfig
@@ -180,6 +180,15 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain_euclidean([], model, tiny_train_cfg())
 
+    def test_metrics_one_record_per_step(self):
+        cfg = tiny_train_cfg(steps=4)
+        model = DualEncoder(EncoderConfig(), EncoderConfig(), seed=0)
+        log = pretrain_euclidean(small_corpus(n=32), model, cfg)
+        assert [r["step"] for r in log.records] == list(range(cfg.steps))
+        for rec in log.records:
+            assert set(rec) == {"step", "loss", "lr"}
+            assert rec["lr"] == lr_schedule(rec["step"] + 1, cfg)
+
 
 class TestAdapt:
     def make_adapted(self, seed=0):
@@ -234,3 +243,37 @@ class TestAdapt:
         rec = json.loads(path.read_text().splitlines()[-1])
         for key in ("loss", "loss_hcc", "loss_hce", "kappa", "tau", "alpha_img", "alpha_txt"):
             assert key in rec
+
+    def test_nan_gradient_raises_before_the_update(self, monkeypatch):
+        corpus = small_corpus(n=32)
+        model = self.make_adapted()
+        cfg = tiny_train_cfg(steps=3, batch_size=4)
+        before = {n: model.store[n].data.copy() for n in model.store.trainable}
+        real_backward = Tensor.backward
+
+        def backward_then_poison(loss):
+            real_backward(loss)
+            grad = model.store["text.proj"].grad.copy()
+            grad.flat[0] = np.nan
+            model.store["text.proj"].grad = grad
+
+        monkeypatch.setattr(Tensor, "backward", backward_then_poison)
+        with pytest.raises(TrainingDiverged) as exc:
+            adapt(corpus, model, cfg, LossConfig())
+        first_batch = CorpusBatcher(corpus, Tokenizer(), cfg.seed).sample_indices(cfg.batch_size)
+        assert exc.value.step == 0
+        assert exc.value.batch_indices == first_batch.tolist()
+        assert np.isnan(exc.value.parts["grad_norm"])
+        for name, data in before.items():
+            assert np.array_equal(model.store[name].data, data), name
+
+    def test_metrics_one_record_per_step(self):
+        cfg = tiny_train_cfg(steps=4)
+        model = self.make_adapted()
+        log = adapt(small_corpus(n=32), model, cfg, LossConfig())
+        assert [r["step"] for r in log.records] == list(range(cfg.steps))
+        keys = {"step", "lr", "loss", "loss_hcc", "loss_hce", "kappa", "tau",
+                "alpha_img", "alpha_txt"}
+        for rec in log.records:
+            assert set(rec) == keys
+        assert log.records[-1]["kappa"] == model.manifold.kappa.item()
