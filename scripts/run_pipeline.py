@@ -3,6 +3,10 @@
 baseline, adapt it into hyperbolic space with and without the entailment
 term, then compare VQA accuracy and hierarchy geometry.
 
+Every stage is one `hyperlift` CLI command on the run config written to
+<out>/run.json. Each adaptation writes its checkpoint, metrics and reports to
+<out>/lambda_<value>/, and the comparison goes to <out>/summary.json.
+
 Usage:
     python3 scripts/run_pipeline.py --out runs/demo [--method seq_adapter]
 """
@@ -13,13 +17,11 @@ import sys
 import time
 from pathlib import Path
 
-from hyperlift.checkpoint import load_euclidean, save_adapted, save_euclidean
-from hyperlift.data import generate_corpus, generate_vqa
-from hyperlift.encoders import DualEncoder, EncoderConfig
-from hyperlift.evaluation import evaluate, geometry_report
-from hyperlift.objectives import LossConfig
-from hyperlift.peft import PEFT_METHODS, PeftConfig, assemble_adapted_model
-from hyperlift.training import TrainConfig, adapt, pretrain_euclidean
+from hyperlift.cli import main as hyperlift
+from hyperlift.encoders import EncoderConfig
+from hyperlift.peft import PEFT_METHODS
+
+GEOMETRY_SCENES = 512  # geometry statistics cover the first scenes of the corpus
 
 
 def parse_args():
@@ -42,48 +44,44 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
-    def say(msg):
-        print(f"[{time.time() - t0:7.1f}s] {msg}", flush=True)
+    def run(*argv):
+        argv = [str(a) for a in argv]
+        print(f"[{time.time() - t0:7.1f}s] hyperlift {' '.join(argv)}", flush=True)
+        if code := hyperlift(argv):
+            sys.exit(code)
 
-    say(f"generating {args.n_samples} training scenes and {args.n_vqa} VQA items")
-    corpus = generate_corpus(seed=args.seed, n_samples=args.n_samples)
-    vqa = generate_vqa(seed=args.seed + 1, n_items=args.n_vqa)
+    def train(steps):
+        return {"steps": steps, "batch_size": args.batch_size,
+                "warmup_steps": max(1, steps // 10), "seed": args.seed}
 
-    say(f"pretraining Euclidean baseline for {args.pretrain_steps} steps")
-    enc_cfg = EncoderConfig()
-    model = DualEncoder(enc_cfg, enc_cfg, seed=args.seed)
-    pre_cfg = TrainConfig(steps=args.pretrain_steps, batch_size=args.batch_size,
-                          warmup_steps=max(1, args.pretrain_steps // 10), seed=args.seed)
-    pretrain_euclidean(corpus, model, pre_cfg, metrics_path=out / "pretrain_metrics.jsonl")
-    save_euclidean(model, out / "euclidean.npz")
+    layers = list(range(EncoderConfig().n_layers))
+    doc = {"seed": args.seed,
+           "data": {"corpus_seed": args.seed, "n_samples": args.n_samples,
+                    "vqa_seed": args.seed + 1, "n_vqa": args.n_vqa},
+           "peft": {"method": args.method, "text_layers": layers, "vision_layers": layers},
+           "pretrain": train(args.pretrain_steps), "adapt": train(args.adapt_steps)}
+    # Each scene has its own seed stream, so a shorter corpus is a prefix.
+    geo_doc = {**doc, "data": {**doc["data"], "n_samples": min(GEOMETRY_SCENES, args.n_samples)}}
+    config, geo_config = out / "run.json", out / "run_geometry.json"
+    config.write_text(json.dumps(doc, indent=2))
+    geo_config.write_text(json.dumps(geo_doc, indent=2))
 
-    peft = PeftConfig(method=args.method,
-                      text_layers=tuple(range(enc_cfg.n_layers)),
-                      vision_layers=tuple(range(enc_cfg.n_layers)))
+    run("gen-data", "--config", config, "--out", out)
+    run("pretrain", "--config", config, "--out", out)
     results = {}
     for lam in (args.lambda_entail, 0.0):
         tag = f"lambda_{lam:g}"
-        say(f"adapting ({args.method}, {tag}) for {args.adapt_steps} steps")
-        adapted = assemble_adapted_model(load_euclidean(out / "euclidean.npz"),
-                                         peft, seed=args.seed)
-        ad_cfg = TrainConfig(steps=args.adapt_steps, batch_size=args.batch_size,
-                             warmup_steps=max(1, args.adapt_steps // 10), seed=args.seed)
-        adapt(corpus, adapted, ad_cfg, LossConfig(lambda_entail=lam),
-              metrics_path=out / f"adapt_metrics_{tag}.jsonl")
-        save_adapted(adapted, out / f"adapted_{tag}.npz")
-
-        report = evaluate(vqa, adapted, keep_per_item=False)
-        geo = geometry_report(corpus[:512], adapted)
-        results[tag] = {"accuracy": report.accuracy,
-                        "containment_rate": geo["containment_rate"],
-                        "radius": {k: v["mean"] for k, v in geo["radius"].items()},
-                        "kappa": geo["kappa"]}
-        say(f"{tag}: accuracy {report.accuracy:.3f}, "
-            f"containment {geo['containment_rate']:.3f}, "
-            f"radii {json.dumps(results[tag]['radius'])}")
+        tag_dir, ckpt = out / tag, out / tag / "adapted.npz"
+        run("adapt", "--config", config, "--checkpoint", out / "euclidean.npz",
+            "--out", tag_dir, "--lambda", lam)
+        run("eval", "--checkpoint", ckpt, "--vqa", out / "vqa.jsonl", "--report", tag_dir / "report.json")
+        run("geometry", "--config", geo_config, "--checkpoint", ckpt, "--report", tag_dir / "geometry.json")
+        report, geo = (json.loads((tag_dir / f).read_text()) for f in ("report.json", "geometry.json"))
+        results[tag] = {"accuracy": report["accuracy"], "containment_rate": geo["containment_rate"],
+                        "radius": {k: v["mean"] for k, v in geo["radius"].items()}, "kappa": geo["kappa"]}
 
     (out / "summary.json").write_text(json.dumps(results, indent=2))
-    say(f"wrote {out / 'summary.json'}")
+    print(f"wrote {out / 'summary.json'}")
     return 0
 
 

@@ -7,9 +7,7 @@ from .autograd import Tensor, check_gradients, no_grad
 from .encoders import DualEncoder, EncoderConfig
 from .manifold import (
     ConeParams,
-    LorentzPoint,
     ManifoldParams,
-    TangentVector,
     exp_map_general,
     exp_map_origin,
     exterior_angle,

@@ -644,9 +644,6 @@ class ParamStore:
     def n_trainable(self) -> int:
         return sum(self._params[n].data.size for n in self.trainable)
 
-    def state_arrays(self):
-        return {n: t.data.copy() for n, t in self._params.items()}
-
 
 @dataclass
 class GradCheckReport:

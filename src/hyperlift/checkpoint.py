@@ -79,11 +79,6 @@ def _restore_store(model: DualEncoder, meta, arrays):
         store[name].requires_grad = name in store.trainable
 
 
-def load_kind(path) -> str:
-    meta, _ = _read(path)
-    return meta["kind"]
-
-
 def _rebuild(path, kind: str):
     """Read a checkpoint of `kind` and a fresh encoder of its architecture."""
     meta, arrays = _read(path)

@@ -6,6 +6,7 @@ failure. Every command is deterministic given (config, seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from .config import load_run_config
 from .data import generate_corpus, generate_vqa, load_vqa, save_jsonl
 from .encoders import DualEncoder, EncoderConfig
 from .evaluation import evaluate, geometry_report
-from .peft import ConfigError, PeftConfig, assemble_adapted_model, count_trainable_params
+from .peft import PEFT_METHODS, ConfigError, PeftConfig, assemble_adapted_model, count_trainable_params
 from .training import TrainingDiverged, adapt as run_adapt, pretrain_euclidean
 
 EXIT_OK = 0
@@ -64,8 +65,7 @@ def cmd_adapt(args) -> int:
     if args.steps is not None:
         cfg.adapt.steps = args.steps
     if args.method is not None:
-        cfg.peft.method = args.method
-        cfg.peft = PeftConfig(**cfg.peft.to_dict())  # re-validate
+        cfg.peft = dataclasses.replace(cfg.peft, method=args.method)  # re-validates
     if args.lambda_entail is not None:
         cfg.loss.lambda_entail = args.lambda_entail
     out = Path(args.out)
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["bias", "layernorm", "seq_adapter", "par_adapter", "lora"])
+    p.add_argument("--method", choices=PEFT_METHODS)
     p.add_argument("--lambda", dest="lambda_entail", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)

@@ -19,8 +19,6 @@ from .data import neftune_noise
 
 ATTN_MASK_VALUE = -1e9
 
-LORA_KEY_BY_TARGET = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "fc1": "fc1_w", "fc2": "fc2_w"}
-
 
 @dataclass
 class EncoderConfig:
@@ -35,6 +33,8 @@ class EncoderConfig:
     proj_dim: int = 32
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.proj_dim < 2:
@@ -61,6 +61,20 @@ class EncoderConfig:
 def trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
     """Normal(0, std) truncated to +-2 std, the usual transformer init."""
     return np.clip(rng.standard_normal(shape), -2.0, 2.0) * std
+
+
+def block_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
+    """Every parameter of one transformer block, `<sub>.<key>` -> shape, in
+    creation order. Weights are (d_in, d_out) matrices; every 1-d entry is a
+    LayerNorm gain or a bias."""
+    d, m = cfg.d_model, cfg.mlp_dim
+    shapes = {"ln1.gain": (d,), "ln1.bias": (d,)}
+    for key in ("q", "k", "v", "o"):
+        shapes[f"attn.w{key}"] = (d, d)
+        shapes[f"attn.b{key}"] = (d,)
+    shapes.update({"ln2.gain": (d,), "ln2.bias": (d,),
+                   "mlp.fc1_w": (d, m), "mlp.fc1_b": (m,), "mlp.fc2_w": (m, d), "mlp.fc2_b": (d,)})
+    return shapes
 
 
 class DualEncoder:
@@ -93,20 +107,15 @@ class DualEncoder:
             add("vision.patch_emb", trunc_normal(rng, (cfg.patch_dim, cfg.d_model)))
             add("vision.patch_bias", np.zeros(cfg.d_model), no_decay=True)
             add("vision.pos_emb", trunc_normal(rng, (cfg.n_patches, cfg.d_model)), no_decay=True)
-        d, m = cfg.d_model, cfg.mlp_dim
+        d = cfg.d_model
+        shapes = block_shapes(cfg)
         for i in range(cfg.n_layers):
-            p = f"{side}.block{i}"
-            add(f"{p}.ln1.gain", np.ones(d), no_decay=True)
-            add(f"{p}.ln1.bias", np.zeros(d), no_decay=True)
-            for key in ("wq", "wk", "wv", "wo"):
-                add(f"{p}.attn.{key}", trunc_normal(rng, (d, d)))
-                add(f"{p}.attn.{key.replace('w', 'b')}", np.zeros(d), no_decay=True)
-            add(f"{p}.ln2.gain", np.ones(d), no_decay=True)
-            add(f"{p}.ln2.bias", np.zeros(d), no_decay=True)
-            add(f"{p}.mlp.fc1_w", trunc_normal(rng, (d, m)))
-            add(f"{p}.mlp.fc1_b", np.zeros(m), no_decay=True)
-            add(f"{p}.mlp.fc2_w", trunc_normal(rng, (m, d)))
-            add(f"{p}.mlp.fc2_b", np.zeros(d), no_decay=True)
+            for key, shape in shapes.items():
+                if len(shape) > 1:
+                    init = trunc_normal(rng, shape)
+                else:
+                    init = np.ones(shape) if key.endswith("gain") else np.zeros(shape)
+                add(f"{side}.block{i}.{key}", init, no_decay=len(shape) == 1)
         add(f"{side}.final_ln.gain", np.ones(d), no_decay=True)
         add(f"{side}.final_ln.bias", np.zeros(d), no_decay=True)
         add(f"{side}.proj", trunc_normal(rng, (d, cfg.proj_dim)))

@@ -159,52 +159,6 @@ def exterior_angle(x, y, kappa, origin_eps=ORIGIN_EPS) -> Tensor:
     return angle
 
 
-@dataclass
-class LorentzPoint:
-    """A validated point on the upper hyperboloid sheet."""
-
-    x_space: np.ndarray
-    x_time: float
-    kappa_ref: float
-
-    def __post_init__(self):
-        self.x_space = np.asarray(self.x_space, dtype=np.float64)
-        self.x_time = float(self.x_time)
-        if self.x_time <= 0:
-            raise ValueError("time coordinate must be positive (upper sheet)")
-        resid = abs(-self.x_time**2 + float(self.x_space @ self.x_space) + 1.0 / self.kappa_ref)
-        if resid > MANIFOLD_ATOL:
-            raise ValueError(f"point violates manifold constraint by {resid:.3g}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.x_space, [self.x_time]])
-
-    @classmethod
-    def from_vector(cls, vec, kappa) -> "LorentzPoint":
-        vec = np.asarray(vec, dtype=np.float64)
-        return cls(x_space=vec[:-1], x_time=vec[-1], kappa_ref=float(kappa))
-
-    @classmethod
-    def from_euclidean(cls, v_euc, kappa) -> "LorentzPoint":
-        vec = exp_map_origin(np.asarray(v_euc, dtype=np.float64), float(kappa)).data
-        return cls.from_vector(vec, kappa)
-
-
-@dataclass
-class TangentVector:
-    """A vector in the tangent space at `base_point` (Lorentz-orthogonal)."""
-
-    v: np.ndarray
-    base_point: LorentzPoint
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=np.float64)
-        inner = float(lorentz_inner(self.v, self.base_point.vector).data)
-        if abs(inner) > MANIFOLD_ATOL:
-            raise ValueError(f"vector not tangent at base point: <v,p>_L = {inner:.3g}")
-
-
 class ManifoldParams:
     """Learnable curvature and pre-lift projection scalars, stored in
     log-space so positivity holds by construction.

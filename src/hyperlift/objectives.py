@@ -16,6 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .manifold import (
+    ORIGIN_EPS,
     ConeParams,
     exterior_angle,
     half_aperture,
@@ -103,7 +104,7 @@ def entailment_violation(parent, child, kappa, cone: ConeParams) -> Tensor:
     """
     pdata = parent.data if isinstance(parent, Tensor) else np.asarray(parent)
     snorm = np.linalg.norm(pdata[..., :-1], axis=-1)
-    degenerate = snorm < 1e-12
+    degenerate = snorm < ORIGIN_EPS
     if degenerate.any():
         log.warning("entailment: %d parent point(s) at origin contribute zero", int(degenerate.sum()))
         keep = ~degenerate

@@ -20,11 +20,13 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoders import DualEncoder, EncoderConfig, LORA_KEY_BY_TARGET, trunc_normal
+from .encoders import DualEncoder, EncoderConfig, block_shapes, trunc_normal
 from .manifold import ManifoldParams, lift
 
 PEFT_METHODS = ("bias", "layernorm", "seq_adapter", "par_adapter", "lora")
-LORA_TARGETS = ("q", "k", "v", "o", "fc1", "fc2")
+# LoRA target -> the block weight it adapts (a key of `block_shapes`)
+LORA_SITES = {"q": "attn.wq", "k": "attn.wk", "v": "attn.wv", "o": "attn.wo",
+              "fc1": "mlp.fc1_w", "fc2": "mlp.fc2_w"}
 
 
 class ConfigError(ValueError):
@@ -53,7 +55,7 @@ class PeftConfig:
         if self.method == "lora":
             if not self.lora_targets:
                 raise ConfigError("lora requires a non-empty target set")
-            bad = set(self.lora_targets) - set(LORA_TARGETS)
+            bad = set(self.lora_targets) - set(LORA_SITES)
             if bad:
                 raise ConfigError(f"unknown lora targets {sorted(bad)}")
 
@@ -89,13 +91,14 @@ class Adaptation:
     def __init__(self, config: PeftConfig, model: DualEncoder):
         self.config = config
         self.model = model
+        # weight key within its sublayer ("wq", "fc1_w", ...) -> LoRA target
+        self._lora_target = ({LORA_SITES[t].split(".")[1]: t for t in config.lora_targets}
+                             if config.method == "lora" else {})
 
     def effective_weight(self, side, layer, key, base: Tensor) -> Tensor:
         cfg = self.config
-        if cfg.method != "lora" or layer not in cfg.layers_for(side):
-            return base
-        target = next((t for t, k in LORA_KEY_BY_TARGET.items() if k == key), None)
-        if target is None or target not in cfg.lora_targets:
+        target = self._lora_target.get(key)
+        if target is None or layer not in cfg.layers_for(side):
             return base
         store = self.model.store
         a = store[f"adapt.{side}.block{layer}.lora_{target}.a"]  # (r, d_in)
@@ -114,43 +117,48 @@ class Adaptation:
         return sub_output + delta
 
 
-def wrap_blocks(model: DualEncoder, config: PeftConfig, rng: np.random.Generator):
-    """Create the method's trainable tensors and mark backbone tensors
-    trainable where the method tunes existing parameters.
+def block_plan(enc_cfg: EncoderConfig, peft: PeftConfig) -> tuple[list, dict]:
+    """What the method trains in one selected block: the `block_shapes` keys
+    it unfreezes, and the tensors it adds as `{suffix: (shape, init)}` in
+    creation order, with init "normal" (truncated) or "zeros".
 
     Down-projections / LoRA A start truncated-normal; up-projections / LoRA B
     start at zero, so adapted forwards reproduce the frozen forward at init.
     """
+    shapes = block_shapes(enc_cfg)
+    if peft.method == "bias":
+        return [k for k, s in shapes.items() if len(s) == 1 and not k.endswith("gain")], {}
+    if peft.method == "layernorm":
+        return [k for k in shapes if k.startswith("ln")], {}
+    added = {}
+    if peft.method == "lora":
+        r = peft.lora_rank
+        for target in peft.lora_targets:
+            d_in, d_out = shapes[LORA_SITES[target]]
+            added[f"lora_{target}.a"] = ((r, d_in), "normal")
+            added[f"lora_{target}.b"] = ((d_out, r), "zeros")
+        return [], added
+    d, k = enc_cfg.d_model, peft.bottleneck_dim
+    for which in ("attn", "mlp"):  # one adapter per sublayer
+        added.update({f"{which}.down_w": ((d, k), "normal"), f"{which}.down_b": ((k,), "zeros"),
+                      f"{which}.up_w": ((k, d), "zeros"), f"{which}.up_b": ((d,), "zeros")})
+    return [], added
+
+
+def wrap_blocks(model: DualEncoder, config: PeftConfig, rng: np.random.Generator):
+    """Apply `block_plan` to every selected layer: mark the backbone tensors
+    the method tunes trainable and create the tensors it adds (1-d ones
+    exempt from weight decay)."""
     store = model.store
-    cfg = config
     for side in ("text", "vision"):
-        enc_cfg = model.config_for(side)
-        d, m = enc_cfg.d_model, enc_cfg.mlp_dim
-        dims = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d), "fc1": (d, m), "fc2": (m, d)}
-        for layer in cfg.layers_for(side):
-            p = f"{side}.block{layer}."
-            if cfg.method == "bias":
-                for name in store.names():
-                    if name.startswith(p) and (name.endswith(".bias") or ".attn.b" in name or name.endswith("_b")):
-                        store.set_trainable(name, True)
-            elif cfg.method == "layernorm":
-                for name in store.names():
-                    if name.startswith(p) and (".ln1." in name or ".ln2." in name):
-                        store.set_trainable(name, True)
-            elif cfg.method in ("seq_adapter", "par_adapter"):
-                for which in ("attn", "mlp"):
-                    q = f"adapt.{side}.block{layer}.{which}"
-                    store.add(f"{q}.down_w", trunc_normal(rng, (d, cfg.bottleneck_dim)))
-                    store.add(f"{q}.down_b", np.zeros(cfg.bottleneck_dim), no_decay=True)
-                    store.add(f"{q}.up_w", np.zeros((cfg.bottleneck_dim, d)))
-                    store.add(f"{q}.up_b", np.zeros(d), no_decay=True)
-            elif cfg.method == "lora":
-                for target in cfg.lora_targets:
-                    d_in, d_out = dims[target]
-                    q = f"adapt.{side}.block{layer}.lora_{target}"
-                    store.add(f"{q}.a", trunc_normal(rng, (cfg.lora_rank, d_in)))
-                    store.add(f"{q}.b", np.zeros((d_out, cfg.lora_rank)))
-    model.adaptation = Adaptation(cfg, model)
+        unfrozen, added = block_plan(model.config_for(side), config)
+        for layer in config.layers_for(side):
+            for key in unfrozen:
+                store.set_trainable(f"{side}.block{layer}.{key}", True)
+            for suffix, (shape, init) in added.items():
+                data = trunc_normal(rng, shape) if init == "normal" else np.zeros(shape)
+                store.add(f"adapt.{side}.block{layer}.{suffix}", data, no_decay=len(shape) == 1)
+    model.adaptation = Adaptation(config, model)
 
 
 class AdaptedModel:
@@ -209,24 +217,6 @@ def assemble_adapted_model(encoder: DualEncoder, peft: PeftConfig, seed: int = 0
 # -- analytic parameter counting ---------------------------------------------
 
 
-def _per_block_counts(d: int, mlp_dim: int, peft: PeftConfig) -> int:
-    """Trainable parameters contributed by one adapted transformer block."""
-    if peft.method == "bias":
-        # q,k,v,o biases (4d) + fc1 (mlp) + fc2 (d) + two LayerNorm biases (2d)
-        return 4 * d + mlp_dim + d + 2 * d
-    if peft.method == "layernorm":
-        return 4 * d  # two LayerNorms, gain + bias each
-    if peft.method in ("seq_adapter", "par_adapter"):
-        per_site = d * peft.bottleneck_dim + peft.bottleneck_dim + peft.bottleneck_dim * d + d
-        return 2 * per_site  # one adapter per sublayer (attention and MLP)
-    if peft.method == "lora":
-        dims = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
-                "fc1": (d, mlp_dim), "fc2": (mlp_dim, d)}
-        return sum(peft.lora_rank * (d_in + d_out) for d_in, d_out in
-                   (dims[t] for t in peft.lora_targets))
-    raise ConfigError(peft.method)
-
-
 N_SCALARS = 4  # curvature, two projection scalars, contrastive temperature
 
 
@@ -240,12 +230,12 @@ def count_trainable_params(text_cfg: EncoderConfig, vision_cfg: EncoderConfig,
     for cfg, layers in ((text_cfg, peft.text_layers), (vision_cfg, peft.vision_layers)):
         total += cfg.d_model * cfg.proj_dim  # projection head
         total += 2 * cfg.d_model             # final LayerNorm gain + bias
-        total += len(layers) * _per_block_counts(cfg.d_model, cfg.mlp_dim, peft)
+        shapes = block_shapes(cfg)
+        unfrozen, added = block_plan(cfg, peft)
+        per_block = (sum(math.prod(shapes[k]) for k in unfrozen)
+                     + sum(math.prod(shape) for shape, _ in added.values()))
+        total += len(layers) * per_block
     return total
-
-
-def runtime_trainable_count(model: AdaptedModel) -> int:
-    return model.store.n_trainable()
 
 
 # Symbolic architectures for the full-size parameter-budget checks.

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must be < steps")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:

@@ -1,17 +1,23 @@
 """Checkpoint round-trip tests for both model kinds."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hyperlift.checkpoint import (
     load_adapted,
     load_euclidean,
-    load_kind,
     save_adapted,
     save_euclidean,
 )
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.peft import PeftConfig, assemble_adapted_model
+
+
+def checkpoint_kind(path) -> str:
+    with np.load(path) as blob:
+        return json.loads(bytes(blob["__meta__"]).decode())["kind"]
 
 
 def euclidean_model(seed=0):
@@ -41,7 +47,7 @@ class TestEuclidean:
     def test_kind_dispatch(self, tmp_path):
         path = tmp_path / "euc.npz"
         save_euclidean(euclidean_model(), path)
-        assert load_kind(path) == "euclidean"
+        assert checkpoint_kind(path) == "euclidean"
         with pytest.raises(ValueError, match="euclidean"):
             load_adapted(path)
 
@@ -78,7 +84,7 @@ class TestAdapted:
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "adapted.npz"
         save_adapted(adapted_model(), path)
-        assert load_kind(path) == "adapted"
+        assert checkpoint_kind(path) == "adapted"
         with pytest.raises(ValueError, match="adapted"):
             load_euclidean(path)
 

@@ -6,9 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from hyperlift.checkpoint import load_adapted, load_euclidean, load_kind
+from hyperlift.checkpoint import load_adapted, load_euclidean
 from hyperlift.cli import main
 from hyperlift.config import ConfigError, load_run_config, run_config_from_dict
+
+
+def checkpoint_kind(path) -> str:
+    with np.load(path) as blob:
+        return json.loads(bytes(blob["__meta__"]).decode())["kind"]
 
 
 TINY_DOC = {
@@ -44,9 +49,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="pretrain"):
             run_config_from_dict({"pretrain": {"step": 5}})
 
-    def test_invalid_value_surfaces_section(self):
-        with pytest.raises(ConfigError, match="peft"):
-            run_config_from_dict({"peft": {"method": "nope"}})
+    @pytest.mark.parametrize("doc, section", [
+        ({"peft": {"method": "nope"}}, "peft"),
+        ({"pretrain": {"log_every": 0}}, "pretrain"),
+        ({"text_encoder": {"n_heads": 0}}, "text_encoder"),
+    ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads"])
+    def test_invalid_value_surfaces_section(self, doc, section):
+        with pytest.raises(ConfigError, match=section):
+            run_config_from_dict(doc)
 
     def test_proj_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="proj_dim"):
@@ -105,7 +115,7 @@ class TestPipeline:
         assert (tmp_path / "vqa.jsonl").exists()
 
         assert main(["pretrain", "--config", config_path, "--out", out]) == 0
-        assert load_kind(tmp_path / "euclidean.npz") == "euclidean"
+        assert checkpoint_kind(tmp_path / "euclidean.npz") == "euclidean"
         assert (tmp_path / "pretrain_metrics.jsonl").exists()
 
         assert main(["adapt", "--config", config_path,

@@ -18,7 +18,6 @@ from hyperlift.peft import (
     assemble_adapted_model,
     count_trainable_params,
     last_k_layers,
-    runtime_trainable_count,
 )
 
 ALL_LAYERS = (0, 1, 2, 3)
@@ -106,18 +105,23 @@ class TestIdentityAtInit:
 
 
 class TestTrainableSet:
-    @pytest.mark.parametrize("method", PEFT_METHODS)
-    def test_analytic_count_matches_runtime(self, method):
-        model = assemble_adapted_model(toy_model(), peft_for(method), seed=0)
+    @pytest.mark.parametrize("method, kw", [
+        *(pytest.param(m, {}, id=m) for m in PEFT_METHODS),
+        # rectangular fc1 (d, mlp) and fc2 (mlp, d) LoRA factors
+        pytest.param("lora", {"lora_targets": ("q", "k", "v", "o", "fc1", "fc2")},
+                     id="lora-all-targets"),
+    ])
+    def test_analytic_count_matches_runtime(self, method, kw):
+        model = assemble_adapted_model(toy_model(), peft_for(method, **kw), seed=0)
         cfg = EncoderConfig()
-        analytic = count_trainable_params(cfg, cfg, peft_for(method))
-        assert runtime_trainable_count(model) == analytic
+        analytic = count_trainable_params(cfg, cfg, peft_for(method, **kw))
+        assert model.store.n_trainable() == analytic
 
     def test_partial_layer_selection(self):
         peft = PeftConfig(method="seq_adapter", text_layers=(2, 3), vision_layers=(3,))
         model = assemble_adapted_model(toy_model(), peft, seed=0)
         cfg = EncoderConfig()
-        assert runtime_trainable_count(model) == count_trainable_params(cfg, cfg, peft)
+        assert model.store.n_trainable() == count_trainable_params(cfg, cfg, peft)
 
     def test_no_layers_gives_heads_and_scalars_only(self):
         peft = PeftConfig(method="bias", text_layers=(), vision_layers=())
