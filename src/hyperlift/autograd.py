@@ -591,13 +591,13 @@ def l2_norm(a, axis=-1, keepdims=False) -> Tensor:
 class ParamStore:
     """Named parameter tensors with trainable / weight-decay bookkeeping.
 
-    Frozen parameters (not in `trainable`) never receive gradients and are
-    never touched by the optimizer.
+    A parameter is trainable exactly when its tensor has `requires_grad`.
+    Frozen parameters never receive gradients and are never touched by the
+    optimizer.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self.trainable: set[str] = set()
         self.no_decay: set[str] = set()
 
     def add(self, name, data, trainable=True, no_decay=False):
@@ -605,8 +605,6 @@ class ParamStore:
             raise KeyError(f"duplicate parameter {name!r}")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
         self._params[name] = t
-        if trainable:
-            self.trainable.add(name)
         if no_decay:
             self.no_decay.add(name)
         return t
@@ -626,12 +624,15 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    @property
+    def trainable(self) -> set[str]:
+        return {n for n, t in self._params.items() if t.requires_grad}
+
     def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if n in self.trainable]
+        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     def set_trainable(self, name, flag: bool):
         self._params[name].requires_grad = flag
-        (self.trainable.add if flag else self.trainable.discard)(name)
 
     def freeze_all(self):
         for name in self._params:
@@ -642,7 +643,7 @@ class ParamStore:
             t.grad = None
 
     def n_trainable(self) -> int:
-        return sum(self._params[n].data.size for n in self.trainable)
+        return sum(t.data.size for _, t in self.trainable_items())
 
 
 @dataclass

@@ -73,10 +73,10 @@ def _restore_store(model: DualEncoder, meta, arrays):
                          f"surplus={sorted(surplus)[:3]})")
     for name, arr in arrays.items():
         store[name].data = np.asarray(arr, dtype=np.float64)
-    store.trainable = set(meta["trainable"])
-    store.no_decay = set(meta["no_decay"])
+    trainable = set(meta["trainable"])
     for name in store.names():
-        store[name].requires_grad = name in store.trainable
+        store.set_trainable(name, name in trainable)
+    store.no_decay = set(meta["no_decay"])
 
 
 def _rebuild(path, kind: str):

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import load_run_config
+from .config import build_section, load_json, load_run_config
 from .data import generate_corpus, generate_vqa, load_vqa, save_jsonl
 from .encoders import DualEncoder, EncoderConfig
 from .evaluation import evaluate, geometry_report
@@ -103,19 +103,12 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    try:
-        arch = json.loads(Path(args.arch).read_text())
-        peft_doc = json.loads(Path(args.peft).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config not found: {exc.filename}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from None
-    try:
-        text_cfg = EncoderConfig(**arch["text"])
-        vision_cfg = EncoderConfig(**arch["vision"])
-        peft = PeftConfig(**peft_doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    arch = load_json(args.arch)
+    if not isinstance(arch, dict):
+        raise ConfigError(f"{args.arch} must hold an object with 'text' and 'vision' sections")
+    text_cfg = build_section(EncoderConfig, arch.get("text"), "text")
+    vision_cfg = build_section(EncoderConfig, arch.get("vision"), "vision")
+    peft = build_section(PeftConfig, load_json(args.peft), "peft")
     n = count_trainable_params(text_cfg, vision_cfg, peft)
     print(f"{n} trainable parameters ({n / 1e6:.3f} M)")
     return EXIT_OK

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .data import IMAGE_SIZE
 from .encoders import EncoderConfig
 from .manifold import ConeParams
 from .objectives import LossConfig
@@ -36,7 +37,9 @@ class RunConfig:
     init_kappa: float = 1.0
 
 
-def _build(cls, d: dict, path: str):
+def build_section(cls, d: dict, path: str):
+    """`cls(**d)`, with a bad document or value raised as a ConfigError that
+    names the section."""
     if not isinstance(d, dict):
         raise ConfigError(f"section {path!r} must be an object")
     try:
@@ -49,7 +52,7 @@ def _build_loss(d: dict) -> LossConfig:
     d = dict(d)
     cone_k = d.pop("cone_k", None)
     pairs = d.pop("entailment_pairs", None)
-    cfg = _build(LossConfig, d, "loss")
+    cfg = build_section(LossConfig, d, "loss")
     if cone_k is not None:
         cfg.cone = ConeParams(boundary_const=float(cone_k))
     if pairs is not None:
@@ -67,26 +70,32 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     cfg = RunConfig(
         seed=int(doc.get("seed", 0)),
-        data=_build(DataConfig, doc.get("data", {}), "data"),
-        text_encoder=_build(EncoderConfig, doc.get("text_encoder", {}), "text_encoder"),
-        vision_encoder=_build(EncoderConfig, doc.get("vision_encoder", {}), "vision_encoder"),
-        peft=_build(PeftConfig, doc.get("peft", {}), "peft"),
-        pretrain=_build(TrainConfig, doc.get("pretrain", {}), "pretrain"),
-        adapt=_build(TrainConfig, doc.get("adapt", {}), "adapt"),
+        data=build_section(DataConfig, doc.get("data", {}), "data"),
+        text_encoder=build_section(EncoderConfig, doc.get("text_encoder", {}), "text_encoder"),
+        vision_encoder=build_section(EncoderConfig, doc.get("vision_encoder", {}), "vision_encoder"),
+        peft=build_section(PeftConfig, doc.get("peft", {}), "peft"),
+        pretrain=build_section(TrainConfig, doc.get("pretrain", {}), "pretrain"),
+        adapt=build_section(TrainConfig, doc.get("adapt", {}), "adapt"),
         loss=_build_loss(doc.get("loss", {})),
         init_kappa=float(doc.get("init_kappa", 1.0)),
     )
     if cfg.text_encoder.proj_dim != cfg.vision_encoder.proj_dim:
         raise ConfigError("text and vision encoders must share proj_dim")
+    if cfg.vision_encoder.image_size != IMAGE_SIZE:
+        raise ConfigError(f"vision_encoder.image_size must be {IMAGE_SIZE}, the generated image size")
     return cfg
 
 
-def load_run_config(path) -> RunConfig:
+def load_json(path):
+    """The JSON document at `path`; a missing file or bad JSON is a ConfigError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return run_config_from_dict(doc)
+
+
+def load_run_config(path) -> RunConfig:
+    return run_config_from_dict(load_json(path))

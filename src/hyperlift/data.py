@@ -189,25 +189,29 @@ def _render_box(name: str) -> np.ndarray:
     return box
 
 
-def _sample_rng(master_seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, tag, index)))
-
-
-def generate_corpus(seed: int, n_samples: int, glyph_set_size: int = 8) -> list[CompositionalSample]:
+def _scenes(seed: int, tag: int, n: int, glyph_set_size: int):
+    """Draw `n` scenes, each from its own generator seeded by (seed, tag,
+    index): 1-3 distinct glyphs of the first `glyph_set_size`, then the
+    rendered scene. Yields (rng, glyphs, image, crops); callers go on drawing
+    from `rng`."""
     if not 4 <= glyph_set_size <= len(GLYPH_NAMES):
         raise ValueError(f"glyph_set_size must be in [4, {len(GLYPH_NAMES)}]")
     active = GLYPH_NAMES[:glyph_set_size]
-    samples = []
-    for i in range(n_samples):
-        rng = _sample_rng(seed, 1, i)
-        n_obj = int(rng.integers(1, 4))
-        glyphs = list(rng.choice(active, size=n_obj, replace=False))
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, tag, i)))
+        glyphs = list(rng.choice(active, size=int(rng.integers(1, 4)), replace=False))
         image, crops = _render_scene(glyphs, rng)
+        yield rng, glyphs, image, crops
+
+
+def generate_corpus(seed: int, n_samples: int, glyph_set_size: int = 8) -> list[CompositionalSample]:
+    samples = []
+    for rng, glyphs, image, crops in _scenes(seed, 1, n_samples, glyph_set_size):
         # half layout-counted captions, half prompt-form so the evaluation
         # stems are in-distribution for the text encoder
         form = int(rng.integers(4))
         if form < 2:
-            stem = LAYOUT_WORDS[n_obj - 1]
+            stem = LAYOUT_WORDS[len(glyphs) - 1]
         else:
             stem = QUESTION_TEMPLATES[form - 2]
         caption = f"{stem} " + " and ".join(glyphs)
@@ -219,18 +223,11 @@ def generate_corpus(seed: int, n_samples: int, glyph_set_size: int = 8) -> list[
 def generate_vqa(seed: int, n_items: int, glyph_set_size: int = 8) -> list[VqaItem]:
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    if not 4 <= glyph_set_size <= len(GLYPH_NAMES):
-        raise ValueError(f"glyph_set_size must be in [4, {len(GLYPH_NAMES)}]")
-    active = GLYPH_NAMES[:glyph_set_size]
     items = []
-    for i in range(n_items):
-        rng = _sample_rng(seed, 2, i)
-        n_obj = int(rng.integers(1, 4))
-        glyphs = list(rng.choice(active, size=n_obj, replace=False))
-        image, _ = _render_scene(glyphs, rng)
+    for rng, glyphs, image, _ in _scenes(seed, 2, n_items, glyph_set_size):
         question = QUESTION_TEMPLATES[int(rng.integers(len(QUESTION_TEMPLATES)))]
-        gold = glyphs[int(rng.integers(n_obj))]
-        absent = [g for g in active if g not in glyphs]
+        gold = glyphs[int(rng.integers(len(glyphs)))]
+        absent = [g for g in GLYPH_NAMES[:glyph_set_size] if g not in glyphs]
         n_distract = min(3, len(absent))
         distractors = list(rng.choice(absent, size=n_distract, replace=False))
         # Fewer than four natural options: duplicate an incorrect answer.

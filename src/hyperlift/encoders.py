@@ -33,13 +33,15 @@ class EncoderConfig:
     proj_dim: int = 32
 
     def __post_init__(self):
-        if self.n_heads < 1:
-            raise ValueError("n_heads must be >= 1")
+        if min(self.n_layers, self.d_model, self.n_heads) < 1:
+            raise ValueError("n_layers, d_model and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.proj_dim < 2:
             raise ValueError("proj_dim must be >= 2")
         self.patch_grid = tuple(self.patch_grid)
+        if min(self.patch_grid) < 1 or any(self.image_size % g for g in self.patch_grid):
+            raise ValueError("patch_grid entries must be >= 1 and divide image_size")
 
     @property
     def mlp_dim(self) -> int:

@@ -120,18 +120,12 @@ def geometry_report(corpus_sample, model: AdaptedModel, tokenizer=None,
         kappa = model.manifold.kappa
         for start in range(0, len(corpus_sample), batch_size):
             idx = np.arange(start, min(start + batch_size, len(corpus_sample)))
-            batch = batcher.gather(idx)
-            pts = {
-                "image": model.embed_image(batch["images"]).data,
-                "text": model.embed_text(batch["tokens"], batch["lengths"]).data,
-                "image_box": model.embed_image(batch["box_images"]).data,
-                "text_box": model.embed_text(batch["box_tokens"], batch["box_lengths"]).data,
-            }
-            for name, p in pts.items():
-                radii[name].append(lorentz_radius(p, kappa).data)
+            emb = model.embed_batch(batcher.gather(idx))
+            for name, r in radii.items():
+                r.append(lorentz_radius(getattr(emb, name), kappa).data)
             for parent_name, child_name in DEFAULT_ENTAILMENT_PAIRS:
-                ppts, cpts = pair_rows(pts[parent_name], pts[child_name], parent_name,
-                                       batch["box_parent"])
+                ppts, cpts = pair_rows(getattr(emb, parent_name), getattr(emb, child_name),
+                                       parent_name, emb.box_parent)
                 ext = exterior_angle(ppts, cpts, kappa).data
                 psi = half_aperture(ppts, kappa, cone).data
                 contained += int((ext <= psi).sum())

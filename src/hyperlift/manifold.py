@@ -26,13 +26,9 @@ class DegenerateInputError(ValueError):
     """Raised when a cone operation is evaluated at a point with no axis."""
 
 
-def _t(x) -> Tensor:
-    return as_tensor(x)
-
-
 def lorentz_inner(x, y) -> Tensor:
     """Minkowski bilinear form -x_t*y_t + <x_s, y_s>, time coordinate last."""
-    x, y = _t(x), _t(y)
+    x, y = as_tensor(x), as_tensor(y)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if x.shape[-1] < 2:
@@ -43,7 +39,7 @@ def lorentz_inner(x, y) -> Tensor:
 
 def pairwise_lorentz_inner(x, y) -> Tensor:
     """All-pairs Minkowski inner products: (A, n+1) x (B, n+1) -> (A, B)."""
-    x, y = _t(x), _t(y)
+    x, y = as_tensor(x), as_tensor(y)
     space = x[..., :-1] @ ag.transpose(y[..., :-1], (1, 0))
     time = ag.reshape(x[..., -1], (-1, 1)) * ag.reshape(y[..., -1], (1, -1))
     return space - time
@@ -51,7 +47,7 @@ def pairwise_lorentz_inner(x, y) -> Tensor:
 
 def time_from_space(x_space, kappa) -> Tensor:
     """Recover the (positive) time coordinate from the manifold constraint."""
-    x_space, kappa = _t(x_space), _t(kappa)
+    x_space, kappa = as_tensor(x_space), as_tensor(kappa)
     return ag.sqrt(1.0 / kappa + (x_space * x_space).sum(axis=-1))
 
 
@@ -62,7 +58,7 @@ def exp_map_origin(v_euc, kappa) -> Tensor:
     recovered from the constraint so membership holds by construction. The
     |v| = 0 limit is the origin (handled analytically inside sinhc).
     """
-    v_euc, kappa = _t(v_euc), _t(kappa)
+    v_euc, kappa = as_tensor(v_euc), as_tensor(kappa)
     sk = ag.sqrt(kappa)
     norm = ag.l2_norm(v_euc, axis=-1, keepdims=True)
     x_space = ag.sinhc(sk * norm) * v_euc
@@ -76,7 +72,7 @@ def exp_map_general(p, v, kappa, tangent_atol=MANIFOLD_ATOL) -> Tensor:
     cosh(sqrt(k)|v|_L) p + sinh(sqrt(k)|v|_L)/(sqrt(k)|v|_L) v, where |v|_L is
     the Lorentzian norm. `v` must be tangent at `p`.
     """
-    p, v, kappa = _t(p), _t(v), _t(kappa)
+    p, v, kappa = as_tensor(p), as_tensor(v), as_tensor(kappa)
     tangency = np.abs(lorentz_inner(v, p).data)
     if np.any(tangency > tangent_atol):
         raise ValueError(f"vector is not tangent at base point (|<v,p>_L| up to {tangency.max():.3g})")
@@ -90,20 +86,20 @@ def geodesic_distance(x, y, kappa) -> Tensor:
     """Geodesic length sqrt(1/k) * acosh(-k <x,y>_L); acosh argument clamped
     to >= 1 so round-off between near-identical points cannot escape the
     domain."""
-    kappa = _t(kappa)
+    kappa = as_tensor(kappa)
     arg = -kappa * lorentz_inner(x, y)
     return ag.sqrt(1.0 / kappa) * ag.acosh(arg)
 
 
 def pairwise_geodesic_distance(x, y, kappa) -> Tensor:
-    kappa = _t(kappa)
+    kappa = as_tensor(kappa)
     arg = -kappa * pairwise_lorentz_inner(x, y)
     return ag.sqrt(1.0 / kappa) * ag.acosh(arg)
 
 
 def lorentz_radius(x, kappa) -> Tensor:
     """Geodesic distance from the origin: sqrt(1/k) acosh(sqrt(k) x_time)."""
-    x, kappa = _t(x), _t(kappa)
+    x, kappa = as_tensor(x), as_tensor(kappa)
     return ag.sqrt(1.0 / kappa) * ag.acosh(ag.sqrt(kappa) * x[..., -1])
 
 
@@ -126,7 +122,7 @@ def half_aperture(x, kappa, cone: ConeParams) -> Tensor:
     non-increasing in the spatial norm, so general concepts near the origin
     get wider cones.
     """
-    x, kappa = _t(x), _t(kappa)
+    x, kappa = as_tensor(x), as_tensor(kappa)
     snorm = ag.l2_norm(x[..., :-1], axis=-1)
     arg = (2.0 * cone.boundary_const) / (ag.sqrt(kappa) * snorm + 1e-30)
     return ag.arcsin(ag.clamp(arg, hi=1.0))
@@ -140,7 +136,7 @@ def exterior_angle(x, y, kappa, origin_eps=ORIGIN_EPS) -> Tensor:
     argument clamped to [-1, 1]. Coincident points return 0 by convention.
     Raises DegenerateInputError for a parent at the origin (no axis).
     """
-    x, y, kappa = _t(x), _t(y), _t(kappa)
+    x, y, kappa = as_tensor(x), as_tensor(y), as_tensor(kappa)
     snorm_val = np.linalg.norm(x.data[..., :-1], axis=-1)
     if np.any(snorm_val < origin_eps):
         raise DegenerateInputError("exterior angle undefined for a parent at the origin")
@@ -160,25 +156,21 @@ def exterior_angle(x, y, kappa, origin_eps=ORIGIN_EPS) -> Tensor:
 
 
 class ManifoldParams:
-    """Learnable curvature and pre-lift projection scalars, stored in
-    log-space so positivity holds by construction.
+    """Learnable curvature and pre-lift projection scalars, registered in
+    `store` as `manifold.*` (no weight decay) and kept in log-space so
+    positivity holds by construction.
 
     alpha_img and alpha_txt start at 1/sqrt(n); curvature starts at 1.
     """
 
-    def __init__(self, embed_dim: int, init_kappa: float = 1.0, store=None, prefix="manifold"):
+    def __init__(self, embed_dim: int, store, init_kappa: float = 1.0):
         if embed_dim < 2:
             raise ValueError("embed_dim must be >= 2")
         self.embed_dim = embed_dim
         log_alpha0 = -0.5 * math.log(embed_dim)
-        if store is not None:
-            self.log_kappa = store.add(f"{prefix}.log_kappa", math.log(init_kappa), no_decay=True)
-            self.log_alpha_img = store.add(f"{prefix}.log_alpha_img", log_alpha0, no_decay=True)
-            self.log_alpha_txt = store.add(f"{prefix}.log_alpha_txt", log_alpha0, no_decay=True)
-        else:
-            self.log_kappa = Tensor(math.log(init_kappa), requires_grad=True)
-            self.log_alpha_img = Tensor(log_alpha0, requires_grad=True)
-            self.log_alpha_txt = Tensor(log_alpha0, requires_grad=True)
+        self.log_kappa = store.add("manifold.log_kappa", math.log(init_kappa), no_decay=True)
+        self.log_alpha_img = store.add("manifold.log_alpha_img", log_alpha0, no_decay=True)
+        self.log_alpha_txt = store.add("manifold.log_alpha_txt", log_alpha0, no_decay=True)
 
     @property
     def kappa(self) -> Tensor:
@@ -195,7 +187,7 @@ class ManifoldParams:
 def lift(v_euc, which: str, params: ManifoldParams) -> Tensor:
     """Scale a Euclidean embedding by the modality's projection scalar and
     map it onto the hyperboloid through the origin."""
-    v_euc = _t(v_euc)
+    v_euc = as_tensor(v_euc)
     if v_euc.shape[-1] != params.embed_dim:
         raise ValueError(f"expected dim {params.embed_dim}, got {v_euc.shape[-1]}")
     return exp_map_origin(params.alpha(which) * v_euc, params.kappa)

@@ -66,11 +66,10 @@ class BatchEmbeddings:
         return self.image.shape[0]
 
 
-def _info_nce(dist: Tensor, tau: Tensor) -> Tensor:
-    """Symmetric cross-entropy over -distance/tau logits; diagonal matched."""
-    n = dist.shape[0]
-    logits = -dist / tau
-    idx = np.arange(n)
+def symmetric_info_nce(logits: Tensor) -> Tensor:
+    """Symmetric InfoNCE (CLIP's loss): the mean of row-wise and column-wise
+    cross-entropy of square `logits`, row i matched with column i."""
+    idx = np.arange(logits.shape[0])
     row_ll = ag.log_softmax(logits, axis=1)[idx, idx]
     col_ll = ag.log_softmax(logits, axis=0)[idx, idx]
     return -(row_ll.mean() + col_ll.mean()) * 0.5
@@ -80,8 +79,8 @@ def contrastive_hcc(batch: BatchEmbeddings, tau: Tensor, kappa: Tensor) -> Tenso
     """Scene-level plus box-level distance InfoNCE, averaged."""
     if batch.batch_size < 2:
         raise ValueError("contrastive loss needs batch size >= 2")
-    scene = _info_nce(pairwise_geodesic_distance(batch.image, batch.text, kappa), tau)
-    box = _info_nce(pairwise_geodesic_distance(batch.image_box, batch.text_box, kappa), tau)
+    scene = symmetric_info_nce(-pairwise_geodesic_distance(batch.image, batch.text, kappa) / tau)
+    box = symmetric_info_nce(-pairwise_geodesic_distance(batch.image_box, batch.text_box, kappa) / tau)
     return (scene + box) * 0.5
 
 

@@ -22,6 +22,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .encoders import DualEncoder, EncoderConfig, block_shapes, trunc_normal
 from .manifold import ManifoldParams, lift
+from .objectives import BatchEmbeddings
 
 PEFT_METHODS = ("bias", "layernorm", "seq_adapter", "par_adapter", "lora")
 # LoRA target -> the block weight it adapts (a key of `block_shapes`)
@@ -185,6 +186,19 @@ class AdaptedModel:
 
     def embed_image(self, images) -> Tensor:
         return lift(self.encoder.encode_image(images), "image", self.manifold)
+
+    def embed_batch(self, batch: dict, noise_rng=None, neftune_alpha=0.0) -> BatchEmbeddings:
+        """Lift the four point sets of a `CorpusBatcher.gather` batch. NEFTune
+        draws in a fixed order: scene captions, then box captions."""
+        return BatchEmbeddings(
+            image=self.embed_image(batch["images"]),
+            text=self.embed_text(batch["tokens"], batch["lengths"],
+                                 noise_rng=noise_rng, neftune_alpha=neftune_alpha),
+            image_box=self.embed_image(batch["box_images"]),
+            text_box=self.embed_text(batch["box_tokens"], batch["box_lengths"],
+                                     noise_rng=noise_rng, neftune_alpha=neftune_alpha),
+            box_parent=batch["box_parent"],
+        )
 
 
 def assemble_adapted_model(encoder: DualEncoder, peft: PeftConfig, seed: int = 0,

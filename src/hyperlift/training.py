@@ -13,7 +13,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ParamStore
 from .data import CompositionalSample, Tokenizer
-from .objectives import BatchEmbeddings, LossConfig, total_loss
+from .objectives import LossConfig, symmetric_info_nce, total_loss
 from .peft import AdaptedModel
 
 
@@ -41,6 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps > 0 and self.warmup_steps >= self.steps:
             raise ValueError("warmup_steps must be < steps")
+        if self.base_lr < 0:
+            raise ValueError("base_lr must be non-negative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.log_every < 1:
@@ -189,17 +191,12 @@ def _train(corpus, store: ParamStore, cfg: TrainConfig, tokenizer, metrics_path,
 def pretrain_euclidean(corpus, model, cfg: TrainConfig, tokenizer=None, metrics_path=None) -> MetricsLog:
     """Train the Euclidean dual encoder with symmetric cosine-similarity
     contrastive loss; its checkpoint becomes the frozen adaptation backbone."""
-    idx = np.arange(cfg.batch_size)
-
     def loss_fn(batch):
         v_img = model.encode_image(batch["images"])
         v_txt = model.encode_text(batch["tokens"], batch["lengths"])
         v_img = v_img / ag.l2_norm(v_img, axis=-1, keepdims=True)
         v_txt = v_txt / ag.l2_norm(v_txt, axis=-1, keepdims=True)
-        logits = (v_img @ ag.transpose(v_txt, (1, 0))) * model.logit_scale()
-        row = ag.log_softmax(logits, axis=1)[idx, idx]
-        col = ag.log_softmax(logits, axis=0)[idx, idx]
-        loss = -(row.mean() + col.mean()) * 0.5
+        loss = symmetric_info_nce((v_img @ ag.transpose(v_txt, (1, 0))) * model.logit_scale())
         return loss, {"loss": loss.item()}
 
     tokenizer = tokenizer or Tokenizer(model.text_cfg.max_len)
@@ -213,16 +210,7 @@ def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
     noise_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x0E11)))
 
     def loss_fn(batch):
-        # NEFTune draws in a fixed order: scene captions, then box captions.
-        emb = BatchEmbeddings(
-            image=model.embed_image(batch["images"]),
-            text=model.embed_text(batch["tokens"], batch["lengths"],
-                                  noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha),
-            image_box=model.embed_image(batch["box_images"]),
-            text_box=model.embed_text(batch["box_tokens"], batch["box_lengths"],
-                                      noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha),
-            box_parent=batch["box_parent"],
-        )
+        emb = model.embed_batch(batch, noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha)
         return total_loss(emb, model.tau, model.manifold.kappa, loss_cfg)
 
     def log_fields():

@@ -20,13 +20,7 @@ from hyperlift.data import Tokenizer, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.evaluation import evaluate, form_queries, geometry_report, predict_answer
 from hyperlift.manifold import exp_map_general, exp_map_origin, geodesic_distance, lorentz_inner
-from hyperlift.objectives import (
-    BatchEmbeddings,
-    LossConfig,
-    contrastive_hcc,
-    entailment_hce,
-    total_loss,
-)
+from hyperlift.objectives import LossConfig, contrastive_hcc, entailment_hce, total_loss
 from hyperlift.peft import (
     CLIP_B_TEXT,
     CLIP_B_VISION,
@@ -184,13 +178,7 @@ def test_c04_gradient_fidelity(criterion):
     batch = batcher.gather(np.arange(4))
 
     def embed():
-        return BatchEmbeddings(
-            image=model.embed_image(batch["images"]),
-            text=model.embed_text(batch["tokens"], batch["lengths"]),
-            image_box=model.embed_image(batch["box_images"]),
-            text_box=model.embed_text(batch["box_tokens"], batch["box_lengths"]),
-            box_parent=batch["box_parent"],
-        )
+        return model.embed_batch(batch)
 
     loss_cfg = LossConfig(lambda_entail=0.1)
     steps = (1e-4, 1e-3, 3e-3, 1e-2, 3e-2)  # per-probe best step; see check_gradients

@@ -315,6 +315,15 @@ class TestParamStore:
         assert store.n_trainable() == 4
         assert store["w"].requires_grad
 
+    def test_requires_grad_is_the_trainable_flag(self):
+        store = ParamStore()
+        store.add("w", np.ones((2, 2)))
+        store.add("b", np.zeros(2))
+        store["w"].requires_grad = False
+        assert "w" not in store.trainable
+        assert "w" not in dict(store.trainable_items())
+        assert store.n_trainable() == 2
+
     def test_duplicate_name_rejected(self):
         store = ParamStore()
         store.add("w", np.ones(2))

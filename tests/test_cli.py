@@ -53,7 +53,15 @@ class TestRunConfig:
         ({"peft": {"method": "nope"}}, "peft"),
         ({"pretrain": {"log_every": 0}}, "pretrain"),
         ({"text_encoder": {"n_heads": 0}}, "text_encoder"),
-    ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads"])
+        ({"text_encoder": {"d_model": 0}}, "text_encoder"),
+        ({"text_encoder": {"n_layers": -1}}, "text_encoder"),
+        ({"vision_encoder": {"image_size": 15}}, "vision_encoder"),
+        ({"vision_encoder": {"patch_grid": [5, 5]}}, "vision_encoder"),
+        ({"vision_encoder": {"image_size": 32}}, "vision_encoder"),
+        ({"pretrain": {"base_lr": -1}}, "pretrain"),
+    ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads", "text_encoder-d_model",
+            "text_encoder-n_layers", "vision_encoder-image_size", "vision_encoder-patch_grid",
+            "vision_encoder-image_size_not_corpus", "pretrain-base_lr"])
     def test_invalid_value_surfaces_section(self, doc, section):
         with pytest.raises(ConfigError, match=section):
             run_config_from_dict(doc)
@@ -90,6 +98,14 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"peft": {"method": "nope"}}))
         assert main(["pretrain", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("arch", [[], {"text": {"n_layers": 2}}], ids=["list", "no-vision"])
+    def test_count_params_bad_arch_document_exits_2(self, tmp_path, capsys, arch):
+        (tmp_path / "arch.json").write_text(json.dumps(arch))
+        (tmp_path / "peft.json").write_text(json.dumps({"method": "bias"}))
+        assert main(["count-params", "--arch", str(tmp_path / "arch.json"),
+                     "--peft", str(tmp_path / "peft.json")]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, config_path, tmp_path):
         assert main(["adapt", "--config", config_path,

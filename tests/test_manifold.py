@@ -377,12 +377,12 @@ class TestValidatedTypes:
 
 class TestManifoldParams:
     def test_kappa_positive_for_any_log_value(self):
-        params = ManifoldParams(embed_dim=16, init_kappa=1.0)
+        params = ManifoldParams(embed_dim=16, init_kappa=1.0, store=ParamStore())
         params.log_kappa.data = np.array(-30.0)
         assert params.kappa.item() > 0
 
     def test_alpha_init_is_inverse_sqrt_dim(self):
-        params = ManifoldParams(embed_dim=64)
+        params = ManifoldParams(embed_dim=64, store=ParamStore())
         np.testing.assert_allclose(params.alpha("image").item(), 1 / 8, rtol=1e-12)
         np.testing.assert_allclose(params.alpha("text").item(), 1 / 8, rtol=1e-12)
 
@@ -395,7 +395,7 @@ class TestManifoldParams:
         assert all(n in store.no_decay for n in names)
 
     def test_lift_scales_before_exp_map(self):
-        params = ManifoldParams(embed_dim=4)
+        params = ManifoldParams(embed_dim=4, store=ParamStore())
         v = np.array([[0.5, -0.5, 0.25, 1.0]])
         out = lift(v, "image", params).data
         alpha = params.alpha("image").item()
@@ -403,7 +403,7 @@ class TestManifoldParams:
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
     def test_lift_rejects_unknown_side(self):
-        params = ManifoldParams(embed_dim=4)
+        params = ManifoldParams(embed_dim=4, store=ParamStore())
         with pytest.raises(ValueError):
             lift(np.ones((1, 4)), "audio", params)
 
