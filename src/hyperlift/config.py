@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .data import IMAGE_SIZE
+from .data import GLYPH_NAMES, IMAGE_SIZE
 from .encoders import EncoderConfig
 from .manifold import ConeParams
 from .objectives import LossConfig
@@ -22,6 +22,12 @@ class DataConfig:
     glyph_set_size: int = 8
     vqa_seed: int = 1
     n_vqa: int = 2000
+
+    def __post_init__(self):
+        if not 4 <= self.glyph_set_size <= len(GLYPH_NAMES):
+            raise ValueError(f"glyph_set_size must be in [4, {len(GLYPH_NAMES)}]")
+        if self.n_samples < 1 or self.n_vqa < 1:
+            raise ValueError("n_samples and n_vqa must be >= 1")
 
 
 @dataclass
@@ -65,11 +71,17 @@ _SECTIONS = ("seed", "data", "text_encoder", "vision_encoder", "peft",
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("a run config must be a JSON object")
     unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    try:
+        seed, init_kappa = int(doc.get("seed", 0)), float(doc.get("init_kappa", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed and init_kappa must be numbers: {exc}") from None
     cfg = RunConfig(
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         data=build_section(DataConfig, doc.get("data", {}), "data"),
         text_encoder=build_section(EncoderConfig, doc.get("text_encoder", {}), "text_encoder"),
         vision_encoder=build_section(EncoderConfig, doc.get("vision_encoder", {}), "vision_encoder"),
@@ -77,7 +89,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         pretrain=build_section(TrainConfig, doc.get("pretrain", {}), "pretrain"),
         adapt=build_section(TrainConfig, doc.get("adapt", {}), "adapt"),
         loss=_build_loss(doc.get("loss", {})),
-        init_kappa=float(doc.get("init_kappa", 1.0)),
+        init_kappa=init_kappa,
     )
     if cfg.text_encoder.proj_dim != cfg.vision_encoder.proj_dim:
         raise ConfigError("text and vision encoders must share proj_dim")

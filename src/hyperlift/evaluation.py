@@ -15,7 +15,7 @@ from .autograd import no_grad
 from .data import Tokenizer, VqaItem
 from .manifold import ConeParams, exterior_angle, geodesic_distance, half_aperture, lorentz_radius
 from .objectives import DEFAULT_ENTAILMENT_PAIRS, pair_rows
-from .peft import AdaptedModel
+from .peft import AdaptedModel, distinct_rows
 from .training import CorpusBatcher
 
 log = logging.getLogger(__name__)
@@ -55,10 +55,7 @@ def _candidate_distances(model: AdaptedModel, images, token_batch, lengths) -> n
     """(n_items, 4) geodesic distances between each image and its 4 queries.
     Each distinct query row is encoded once: VQA sets repeat a few question
     and answer strings, and rows encode independently of their batch."""
-    slots = {}  # distinct (tokens, length) row -> its slot among the encoded rows
-    inverse = np.array([slots.setdefault((row.tobytes(), n), len(slots))
-                        for row, n in zip(token_batch, lengths.tolist())])
-    firsts = np.unique(inverse, return_index=True)[1]
+    firsts, inverse = distinct_rows(np.column_stack([token_batch, lengths]))
     with no_grad():
         img_pts = model.embed_image(images).data                                 # (M, n+1)
         txt_pts = model.embed_text(token_batch[firsts], lengths[firsts]).data  # (U, n+1)

@@ -162,6 +162,14 @@ def wrap_blocks(model: DualEncoder, config: PeftConfig, rng: np.random.Generator
     model.adaptation = Adaptation(config, model)
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, inverse): `rows[firsts]` are the distinct rows (by bytes) in
+    order of first appearance, and `rows[firsts][inverse]` equals `rows`."""
+    slots = {}  # row bytes -> its position among the distinct rows
+    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.int64)
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
 class AdaptedModel:
     """A frozen dual encoder wrapped for hyperbolic training: PEFT parameters,
     fresh trainable heads and final LayerNorms, manifold scalars, and a
@@ -188,13 +196,20 @@ class AdaptedModel:
         return lift(self.encoder.encode_image(images), "image", self.manifold)
 
     def embed_batch(self, batch: dict, noise_rng=None, neftune_alpha=0.0) -> BatchEmbeddings:
-        """Lift the four point sets of a `CorpusBatcher.gather` batch. NEFTune
+        """Lift the four point sets of a `CorpusBatcher.gather` batch. Each
+        distinct image (scene or box) is encoded once and gathered back per
+        row, so the gather's backward sums the gradients of repeats. NEFTune
         draws in a fixed order: scene captions, then box captions."""
+        images = np.concatenate([batch["images"], batch["box_images"]])
+        firsts, inverse = distinct_rows(images)
+        points = self.embed_image(images[firsts])
+        n_scenes = len(batch["images"])
+        # Text stays one encode per row: NEFTune noise makes equal captions unequal inputs.
         return BatchEmbeddings(
-            image=self.embed_image(batch["images"]),
+            image=points[inverse[:n_scenes]],
             text=self.embed_text(batch["tokens"], batch["lengths"],
                                  noise_rng=noise_rng, neftune_alpha=neftune_alpha),
-            image_box=self.embed_image(batch["box_images"]),
+            image_box=points[inverse[n_scenes:]],
             text_box=self.embed_text(batch["box_tokens"], batch["box_lengths"],
                                      noise_rng=noise_rng, neftune_alpha=neftune_alpha),
             box_parent=batch["box_parent"],

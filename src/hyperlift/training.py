@@ -69,21 +69,22 @@ class AdamW:
         self.store = store
         self.cfg = cfg
         self.t = 0
-        self.m = {n: np.zeros_like(store[n].data) for n in store.trainable}
-        self.v = {n: np.zeros_like(store[n].data) for n in store.trainable}
+        # sorted: set iteration order varies with the per-process hash seed,
+        # and the non-associative gradient-norm sum must not depend on it
+        self.names = sorted(store.trainable)
+        self.m = {n: np.zeros_like(store[n].data) for n in self.names}
+        self.v = {n: np.zeros_like(store[n].data) for n in self.names}
 
     def clip_gradients(self):
-        # sorted: set iteration order varies with the per-process hash seed,
-        # and the non-associative sum must not depend on it
         gsq = 0.0
-        for name in sorted(self.store.trainable):
+        for name in self.names:
             g = self.store[name].grad
             if g is not None:
                 gsq += float((g * g).sum())
         norm = math.sqrt(gsq)
         if self.cfg.grad_clip > 0 and norm > self.cfg.grad_clip:
             scale = self.cfg.grad_clip / norm
-            for name in sorted(self.store.trainable):
+            for name in self.names:
                 if self.store[name].grad is not None:
                     self.store[name].grad = self.store[name].grad * scale
         return norm
@@ -93,7 +94,7 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name in sorted(self.store.trainable):
+        for name in self.names:
             p = self.store[name]
             if p.grad is None:
                 raise RuntimeError(f"trainable parameter {name!r} has no gradient")

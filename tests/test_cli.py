@@ -59,9 +59,18 @@ class TestRunConfig:
         ({"vision_encoder": {"patch_grid": [5, 5]}}, "vision_encoder"),
         ({"vision_encoder": {"image_size": 32}}, "vision_encoder"),
         ({"pretrain": {"base_lr": -1}}, "pretrain"),
+        ({"data": {"glyph_set_size": 3}}, "data"),
+        ({"data": {"glyph_set_size": 17}}, "data"),
+        ({"data": {"n_samples": 0}}, "data"),
+        ({"data": {"n_vqa": 0}}, "data"),
+        ({"seed": "abc"}, "seed"),
+        ({"init_kappa": "one"}, "init_kappa"),
+        ([], "object"),
     ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads", "text_encoder-d_model",
             "text_encoder-n_layers", "vision_encoder-image_size", "vision_encoder-patch_grid",
-            "vision_encoder-image_size_not_corpus", "pretrain-base_lr"])
+            "vision_encoder-image_size_not_corpus", "pretrain-base_lr", "data-glyph_set_size_small",
+            "data-glyph_set_size_large", "data-n_samples", "data-n_vqa", "seed-not_a_number",
+            "init_kappa-not_a_number", "document-not_an_object"])
     def test_invalid_value_surfaces_section(self, doc, section):
         with pytest.raises(ConfigError, match=section):
             run_config_from_dict(doc)
@@ -98,6 +107,16 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"peft": {"method": "nope"}}))
         assert main(["pretrain", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("doc", [[], {"seed": "abc"}, {"data": {"glyph_set_size": 3}},
+                                     {"data": {"n_samples": 0}}],
+                             ids=["list", "seed", "glyph_set_size", "n_samples"])
+    def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     @pytest.mark.parametrize("arch", [[], {"text": {"n_layers": 2}}], ids=["list", "no-vision"])
     def test_count_params_bad_arch_document_exits_2(self, tmp_path, capsys, arch):

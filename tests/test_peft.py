@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hyperlift import autograd as ag
+from hyperlift.data import Tokenizer, generate_corpus
 from hyperlift.encoders import DualEncoder, EncoderConfig
+from hyperlift.objectives import BatchEmbeddings, LossConfig, total_loss
 from hyperlift.peft import (
     CLIP_B_TEXT,
     CLIP_B_VISION,
@@ -17,8 +19,10 @@ from hyperlift.peft import (
     PeftConfig,
     assemble_adapted_model,
     count_trainable_params,
+    distinct_rows,
     last_k_layers,
 )
+from hyperlift.training import CorpusBatcher
 
 ALL_LAYERS = (0, 1, 2, 3)
 
@@ -193,3 +197,94 @@ class TestBudgets:
         s = count_trainable_params(CLIP_S_TEXT, CLIP_S_VISION, peft)
         b = count_trainable_params(CLIP_B_TEXT, CLIP_B_VISION, peft)
         assert s < b
+
+
+class TestEmbedBatch:
+    """`embed_batch` encodes each distinct image once; the result must match
+    encoding the scene and box images in separate calls."""
+
+    METHODS = [
+        pytest.param(peft_for("seq_adapter"), id="seq_adapter-all"),
+        pytest.param(peft_for("lora", vision_layers=(3,), text_layers=(3,)), id="lora-last1"),
+    ]
+
+    @staticmethod
+    def model_and_batch(peft, distinct=False):
+        model = assemble_adapted_model(toy_model(), peft, seed=0)
+        rng = np.random.default_rng(4)
+        for _, t in model.store.trainable_items():  # move off the zero-delta init
+            t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
+        batcher = CorpusBatcher(generate_corpus(seed=3, n_samples=24), Tokenizer(), seed=0)
+        batch = batcher.gather(np.arange(8))
+        if distinct:
+            batch["box_images"] = batch["box_images"] + 1e-3 * rng.random(batch["box_images"].shape)
+        return model, batch
+
+    @staticmethod
+    def per_row(model, batch) -> BatchEmbeddings:
+        """The reference: scene and box images through separate encodes."""
+        return BatchEmbeddings(
+            image=model.embed_image(batch["images"]),
+            text=model.embed_text(batch["tokens"], batch["lengths"]),
+            image_box=model.embed_image(batch["box_images"]),
+            text_box=model.embed_text(batch["box_tokens"], batch["box_lengths"]),
+            box_parent=batch["box_parent"],
+        )
+
+    @staticmethod
+    def loss_and_grads(model, emb):
+        model.store.zero_grads()
+        loss, _ = total_loss(emb, model.tau, model.manifold.kappa, LossConfig())
+        loss.backward()
+        return loss.item(), {n: t.grad for n, t in model.store.trainable_items()}
+
+    def test_distinct_rows(self):
+        rows = np.array([[1, 2], [3, 4], [1, 2], [5, 6], [3, 4]])
+        firsts, inverse = distinct_rows(rows)
+        assert firsts.tolist() == [0, 1, 3]
+        assert inverse.tolist() == [0, 1, 0, 2, 1]
+        np.testing.assert_array_equal(rows[firsts][inverse], rows)
+
+    def test_boxes_repeat_and_are_encoded_once(self):
+        model, batch = self.model_and_batch(peft_for("bias"))
+        n_rows = len(batch["images"]) + len(batch["box_images"])
+        encoded = []
+        encode = model.encoder.encode_image
+        model.encoder.encode_image = lambda images: encoded.append(len(images)) or encode(images)
+        model.embed_batch(batch)
+        distinct = len(distinct_rows(np.concatenate([batch["images"], batch["box_images"]]))[0])
+        assert encoded == [distinct] and distinct < n_rows
+
+    @pytest.mark.parametrize("peft", METHODS)
+    def test_forward_equals_separate_encodes(self, peft):
+        model, batch = self.model_and_batch(peft)
+        emb = model.embed_batch(batch)
+        assert np.array_equal(emb.image.data, model.embed_image(batch["images"]).data)
+        assert np.array_equal(emb.image_box.data, model.embed_image(batch["box_images"]).data)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated-boxes", "all-distinct"])
+    @pytest.mark.parametrize("peft", METHODS)
+    def test_gradients_match_separate_encodes(self, peft, distinct):
+        model, batch = self.model_and_batch(peft, distinct)
+        ref_loss, ref = self.loss_and_grads(model, self.per_row(model, batch))
+        loss, grads = self.loss_and_grads(model, model.embed_batch(batch))
+        assert loss == ref_loss  # the forward is bit-identical
+        assert grads.keys() == ref.keys()
+        for name, g in grads.items():
+            # Duplicate rows are summed in another order, and so are the
+            # weight-gradient GEMMs over the joined batch. An entry that
+            # cancels to far below its array's scale keeps only an absolute
+            # agreement, at 1e-12 of that scale.
+            atol = 1e-12 * np.abs(ref[name]).max()
+            np.testing.assert_allclose(g, ref[name], rtol=1e-10, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("peft", METHODS)
+    def test_all_distinct_batch_is_bit_identical_forward(self, peft):
+        model, batch = self.model_and_batch(peft, distinct=True)
+        images = np.concatenate([batch["images"], batch["box_images"]])
+        firsts, inverse = distinct_rows(images)
+        np.testing.assert_array_equal(firsts, np.arange(len(images)))
+        np.testing.assert_array_equal(inverse, np.arange(len(images)))
+        emb, ref = model.embed_batch(batch), self.per_row(model, batch)
+        for name in ("image", "text", "image_box", "text_box"):
+            assert np.array_equal(getattr(emb, name).data, getattr(ref, name).data), name
