@@ -61,7 +61,9 @@ def main():
            "peft": {"method": args.method, "text_layers": layers, "vision_layers": layers},
            "pretrain": train(args.pretrain_steps), "adapt": train(args.adapt_steps)}
     # Each scene has its own seed stream, so a shorter corpus is a prefix.
-    geo_doc = {**doc, "data": {**doc["data"], "n_samples": min(GEOMETRY_SCENES, args.n_samples)}}
+    # The geometry stage trains nothing, so its batch size may exceed that prefix.
+    geo_doc = {**doc, "data": {**doc["data"], "n_samples": min(GEOMETRY_SCENES, args.n_samples)},
+               "pretrain": train(0), "adapt": train(0)}
     config, geo_config = out / "run.json", out / "run_geometry.json"
     config.write_text(json.dumps(doc, indent=2))
     geo_config.write_text(json.dumps(geo_doc, indent=2))

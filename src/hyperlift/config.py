@@ -91,6 +91,11 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         loss=_build_loss(doc.get("loss", {})),
         init_kappa=init_kappa,
     )
+    for name in ("pretrain", "adapt"):
+        train = getattr(cfg, name)
+        if train.steps > 0 and train.batch_size > cfg.data.n_samples:
+            raise ConfigError(f"in section {name!r}: batch_size {train.batch_size} exceeds "
+                              f"data.n_samples {cfg.data.n_samples}")
     if cfg.text_encoder.proj_dim != cfg.vision_encoder.proj_dim:
         raise ConfigError("text and vision encoders must share proj_dim")
     if cfg.vision_encoder.image_size != IMAGE_SIZE:

@@ -215,18 +215,24 @@ class DualEncoder:
         pooled = ag.gather_rows(x, lengths - 1)
         return self._head(pooled, "text")
 
-    def encode_image(self, images) -> Tensor:
-        """Encode (B, H, W) image grids to (B, proj_dim) via patch tokens and
-        mean pooling."""
+    def check_images(self, images) -> np.ndarray:
+        """`images` as a float64 (B, H, W) array (one (H, W) image becomes
+        B=1); images of the wrong size raise ValueError."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 2:
             images = images[None, :, :]
-        cfg = self.vision_cfg
-        s = cfg.image_size
+        s = self.vision_cfg.image_size
         if images.shape[1:] != (s, s):
             raise ValueError(f"expected images of shape (B, {s}, {s}), got {images.shape}")
+        return images
+
+    def vision_prefix(self, images, depth: int) -> Tensor:
+        """The patch embedding and vision blocks [0, depth) over (B, H, W)
+        image grids: a (B, n_patches, d_model) hidden state."""
+        images = self.check_images(images)
+        cfg = self.vision_cfg
         gh, gw = cfg.patch_grid
-        ph, pw = s // gh, s // gw
+        ph, pw = cfg.image_size // gh, cfg.image_size // gw
         B = images.shape[0]
         patches = (
             images.reshape(B, gh, ph, gw, pw)
@@ -235,10 +241,21 @@ class DualEncoder:
         )
         x = Tensor(patches) @ self.store["vision.patch_emb"] + self.store["vision.patch_bias"]
         x = x + self.store["vision.pos_emb"]
-        for layer in range(cfg.n_layers):
+        for layer in range(depth):
             x = self._block(x, "vision", layer, None)
-        pooled = x.mean(axis=1)
-        return self._head(pooled, "vision")
+        return x
+
+    def encode_image_tail(self, x, start: int) -> Tensor:
+        """Vision blocks [start, n_layers) over a (B, n_patches, d_model)
+        hidden state, then mean pooling and the head: (B, proj_dim)."""
+        for layer in range(start, self.vision_cfg.n_layers):
+            x = self._block(x, "vision", layer, None)
+        return self._head(x.mean(axis=1), "vision")
+
+    def encode_image(self, images) -> Tensor:
+        """Encode (B, H, W) image grids to (B, proj_dim) via patch tokens and
+        mean pooling."""
+        return self.encode_image_tail(self.vision_prefix(images, 0), 0)
 
     # -- bookkeeping ---------------------------------------------------------
 

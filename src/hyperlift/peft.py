@@ -195,14 +195,39 @@ class AdaptedModel:
     def embed_image(self, images) -> Tensor:
         return lift(self.encoder.encode_image(images), "image", self.manifold)
 
-    def embed_batch(self, batch: dict, noise_rng=None, neftune_alpha=0.0) -> BatchEmbeddings:
+    def vision_prefix_depth(self) -> int:
+        """How many leading vision blocks hold no trainable tensor (adaptation
+        tensors included): all of them when no vision layer trains, none when
+        a vision embedding tensor trains. Up to there, the vision forward is
+        a constant of each image while the trainable set stays as it is."""
+        trainable = self.store.trainable
+        if trainable & {"vision.patch_emb", "vision.patch_bias", "vision.pos_emb"}:
+            return 0
+        n_layers = self.encoder.vision_cfg.n_layers
+        return next((layer for layer in range(n_layers) if any(
+            name.startswith((f"vision.block{layer}.", f"adapt.vision.block{layer}."))
+            for name in trainable)), n_layers)
+
+    def embed_batch(self, batch: dict, noise_rng=None, neftune_alpha=0.0,
+                    prefixes=None) -> BatchEmbeddings:
         """Lift the four point sets of a `CorpusBatcher.gather` batch. Each
         distinct image (scene or box) is encoded once and gathered back per
         row, so the gather's backward sums the gradients of repeats. NEFTune
-        draws in a fixed order: scene captions, then box captions."""
+        draws in a fixed order: scene captions, then box captions.
+
+        `prefixes` (image bytes -> (n_patches, d_model) hidden state) holds
+        the frozen vision prefix of each image seen (`vision_prefix_depth`
+        blocks): an image missing from it is run through the prefix once and
+        stored, and only the remaining blocks run per call. The caller owns
+        the dict and must drop it before a tensor of the prefix can change."""
         images = np.concatenate([batch["images"], batch["box_images"]])
         firsts, inverse = distinct_rows(images)
-        points = self.embed_image(images[firsts])
+        depth = 0 if prefixes is None else self.vision_prefix_depth()
+        if depth:
+            states = self._prefix_states(images[firsts], depth, prefixes)
+            points = lift(self.encoder.encode_image_tail(states, depth), "image", self.manifold)
+        else:
+            points = self.embed_image(images[firsts])
         n_scenes = len(batch["images"])
         # Text stays one encode per row: NEFTune noise makes equal captions unequal inputs.
         return BatchEmbeddings(
@@ -214,6 +239,18 @@ class AdaptedModel:
                                      noise_rng=noise_rng, neftune_alpha=neftune_alpha),
             box_parent=batch["box_parent"],
         )
+
+    def _prefix_states(self, images, depth: int, prefixes: dict) -> Tensor:
+        """The stacked prefix hidden states of `images`, computing only those
+        missing from `prefixes`. Sizes are checked before any lookup, so a
+        wrong-size image cannot match a cached one's bytes."""
+        images = self.encoder.check_images(images)
+        keys = [image.tobytes() for image in images]
+        missing = [i for i, key in enumerate(keys) if key not in prefixes]
+        if missing:
+            states = self.encoder.vision_prefix(images[missing], depth).data
+            prefixes.update(zip((keys[i] for i in missing), states))
+        return Tensor(np.stack([prefixes[key] for key in keys]))
 
 
 def assemble_adapted_model(encoder: DualEncoder, peft: PeftConfig, seed: int = 0,

@@ -39,6 +39,8 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self):
+        if min(self.steps, self.warmup_steps) < 0 or self.neftune_alpha < 0:
+            raise ValueError("steps, warmup_steps and neftune_alpha must be >= 0")
         if self.steps > 0 and self.warmup_steps >= self.steps:
             raise ValueError("warmup_steps must be < steps")
         if self.base_lr < 0:
@@ -209,9 +211,13 @@ def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
     """Hyperbolic adaptation: compositional contrastive + entailment hinge on
     the PEFT-wrapped model. Frozen tensors are never updated."""
     noise_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x0E11)))
+    # Frozen vision prefix per image seen. Only trainable tensors change in
+    # this call, so the dict stays valid until it returns, and dies with it.
+    prefixes = {}
 
     def loss_fn(batch):
-        emb = model.embed_batch(batch, noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha)
+        emb = model.embed_batch(batch, noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha,
+                                prefixes=prefixes)
         return total_loss(emb, model.tau, model.manifold.kappa, loss_cfg)
 
     def log_fields():

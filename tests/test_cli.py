@@ -66,14 +66,29 @@ class TestRunConfig:
         ({"seed": "abc"}, "seed"),
         ({"init_kappa": "one"}, "init_kappa"),
         ([], "object"),
+        ({"pretrain": {"steps": -5}}, "pretrain"),
+        ({"adapt": {"steps": 10, "warmup_steps": -1}}, "adapt"),
+        ({"adapt": {"neftune_alpha": -0.1}}, "adapt"),
+        ({"data": {"n_samples": 8}, "pretrain": {"steps": 3, "batch_size": 16, "warmup_steps": 1}},
+         "pretrain"),
+        ({"data": {"n_samples": 8}, "pretrain": {"steps": 0},
+          "adapt": {"steps": 3, "batch_size": 16, "warmup_steps": 1}}, "adapt"),
     ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads", "text_encoder-d_model",
             "text_encoder-n_layers", "vision_encoder-image_size", "vision_encoder-patch_grid",
             "vision_encoder-image_size_not_corpus", "pretrain-base_lr", "data-glyph_set_size_small",
             "data-glyph_set_size_large", "data-n_samples", "data-n_vqa", "seed-not_a_number",
-            "init_kappa-not_a_number", "document-not_an_object"])
+            "init_kappa-not_a_number", "document-not_an_object", "pretrain-steps_negative",
+            "adapt-warmup_steps_negative", "adapt-neftune_alpha_negative",
+            "pretrain-batch_size_above_n_samples", "adapt-batch_size_above_n_samples"])
     def test_invalid_value_surfaces_section(self, doc, section):
         with pytest.raises(ConfigError, match=section):
             run_config_from_dict(doc)
+
+    def test_zero_steps_is_valid_whatever_the_batch_size(self):
+        cfg = run_config_from_dict({"data": {"n_samples": 8},
+                                    "pretrain": {"steps": 0, "warmup_steps": 0, "neftune_alpha": 0},
+                                    "adapt": {"steps": 0, "batch_size": 16}})
+        assert cfg.pretrain.steps == cfg.adapt.steps == 0
 
     def test_proj_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="proj_dim"):
@@ -117,6 +132,14 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "corpus.jsonl").exists()
+
+    def test_batch_larger_than_corpus_exits_2_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"data": {"n_samples": 8},
+                                    "pretrain": {"steps": 3, "batch_size": 16, "warmup_steps": 1}}))
+        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert not (tmp_path / "pretrain_metrics.jsonl").exists()
 
     @pytest.mark.parametrize("arch", [[], {"text": {"n_layers": 2}}], ids=["list", "no-vision"])
     def test_count_params_bad_arch_document_exits_2(self, tmp_path, capsys, arch):

@@ -9,7 +9,7 @@ from hyperlift.autograd import ParamStore, Tensor
 from hyperlift.data import Tokenizer, generate_corpus
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.objectives import LossConfig
-from hyperlift.peft import PeftConfig, assemble_adapted_model
+from hyperlift.peft import AdaptedModel, PeftConfig, assemble_adapted_model
 from hyperlift.training import (
     AdamW,
     CorpusBatcher,
@@ -281,3 +281,80 @@ class TestAdapt:
         for rec in log.records:
             assert set(rec) == keys
         assert log.records[-1]["kappa"] == model.manifold.kappa.item()
+
+
+class TestVisionPrefixCache:
+    """`adapt` runs the frozen vision prefix once per distinct image and keeps
+    it for the run; every loss and parameter must equal those of running the
+    whole vision encoder on every step (prefix depth 0)."""
+
+    PEFTS = [
+        pytest.param(PeftConfig(method="lora", text_layers=(3,), vision_layers=(3,)), 3, id="lora-last1"),
+        pytest.param(PeftConfig(method="lora", text_layers=(2, 3), vision_layers=(2, 3)), 2, id="lora-2-3"),
+        pytest.param(PeftConfig(method="bias", text_layers=(3,), vision_layers=()), 4, id="bias-no-vision"),
+        pytest.param(PeftConfig(method="seq_adapter", text_layers=range(4), vision_layers=range(4)), 0,
+                     id="seq_adapter-all"),
+    ]
+
+    @staticmethod
+    def make_adapted(peft):
+        cfg = EncoderConfig()
+        return assemble_adapted_model(DualEncoder(cfg, cfg, seed=1), peft, seed=1)
+
+    def run(self, peft, monkeypatch):
+        """Adapt for a few steps; returns the model, its metrics records, the
+        prefix dicts `embed_batch` received, the bytes of every image the
+        batches held, and the depth and row count of each `vision_prefix` call."""
+        model = self.make_adapted(peft)
+        dicts, seen, prefix_calls = [], set(), []
+        embed_batch, vision_prefix = AdaptedModel.embed_batch, DualEncoder.vision_prefix
+
+        def spy_embed(self, batch, **kwargs):
+            dicts.append(kwargs["prefixes"])
+            seen.update(image.tobytes() for key in ("images", "box_images") for image in batch[key])
+            return embed_batch(self, batch, **kwargs)
+
+        def spy_prefix(self, images, depth):
+            prefix_calls.append((depth, len(images)))
+            return vision_prefix(self, images, depth)
+
+        with monkeypatch.context() as m:
+            m.setattr(AdaptedModel, "embed_batch", spy_embed)
+            m.setattr(DualEncoder, "vision_prefix", spy_prefix)
+            log = adapt(small_corpus(n=16), model, tiny_train_cfg(steps=5, seed=1), LossConfig())
+        return model, log.records, dicts, seen, prefix_calls
+
+    @pytest.mark.parametrize("peft, depth", PEFTS)
+    def test_bit_identical_to_the_full_forward(self, peft, depth, monkeypatch):
+        model, records, dicts, seen, prefix_calls = self.run(peft, monkeypatch)
+        assert model.vision_prefix_depth() == depth
+        with monkeypatch.context() as m:
+            m.setattr(AdaptedModel, "vision_prefix_depth", lambda self: 0)
+            ref_model, ref_records, ref_dicts, _, _ = self.run(peft, monkeypatch)
+        assert records == ref_records
+        for name, t in ref_model.store.items():
+            assert np.array_equal(model.store[name].data, t.data), name
+        # One dict per run, one (n_patches, d_model) entry per distinct image.
+        assert len({id(d) for d in dicts}) == 1 and len(dicts) == 5
+        prefixes = dicts[0]
+        if depth:
+            assert prefixes.keys() == seen
+            assert all(state.shape == (16, 64) for state in prefixes.values())
+            # Each image went through the prefix once, on the step that first drew it.
+            assert {d for d, _ in prefix_calls} == {depth}
+            assert sum(n for _, n in prefix_calls) == len(seen)
+        else:
+            assert not prefixes
+        assert not ref_dicts[0]
+
+    def test_wrong_size_image_raises_before_any_lookup(self):
+        model = self.make_adapted(PeftConfig(method="lora", text_layers=(3,), vision_layers=(3,)))
+        batch = CorpusBatcher(small_corpus(n=8), Tokenizer(), seed=0).gather(np.arange(4))
+        prefixes = {}
+        model.embed_batch(batch, prefixes=prefixes)
+        assert prefixes
+        # Same bytes in another shape: every row would match a cached key.
+        bad = dict(batch, images=batch["images"].reshape(4, 8, 32),
+                   box_images=batch["box_images"].reshape(-1, 8, 32))
+        with pytest.raises(ValueError, match="shape"):
+            model.embed_batch(bad, prefixes=prefixes)
