@@ -6,7 +6,6 @@ failure. Every command is deterministic given (config, seed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,11 +39,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = cfg.pretrain.seed = args.seed
-    if args.steps is not None:
-        cfg.pretrain.steps = args.steps
+    cfg = load_run_config(args.config, {(None, "seed"): args.seed, ("pretrain", "seed"): args.seed,
+                                        ("pretrain", "steps"): args.steps})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = DualEncoder(cfg.text_encoder, cfg.vision_encoder, seed=cfg.seed)
@@ -59,15 +55,10 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = cfg.adapt.seed = args.seed
-    if args.steps is not None:
-        cfg.adapt.steps = args.steps
-    if args.method is not None:
-        cfg.peft = dataclasses.replace(cfg.peft, method=args.method)  # re-validates
-    if args.lambda_entail is not None:
-        cfg.loss.lambda_entail = args.lambda_entail
+    cfg = load_run_config(args.config, {(None, "seed"): args.seed, ("adapt", "seed"): args.seed,
+                                        ("adapt", "steps"): args.steps,
+                                        ("peft", "method"): args.method,
+                                        ("loss", "lambda_entail"): args.lambda_entail})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     encoder = ckpt.load_euclidean(args.checkpoint)

@@ -114,5 +114,16 @@ def load_json(path):
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
-def load_run_config(path) -> RunConfig:
-    return run_config_from_dict(load_json(path))
+def load_run_config(path, overrides: dict | None = None) -> RunConfig:
+    """The run config at `path`. Each `(section, key): value` of `overrides`
+    whose value is not None (section None for a top-level key) is written
+    into the document first, so command-line values meet the same checks."""
+    doc = load_json(path)
+    if isinstance(doc, dict):
+        for (section, key), value in (overrides or {}).items():
+            if value is None:
+                continue
+            target = doc if section is None else doc.setdefault(section, {})
+            if isinstance(target, dict):
+                target[key] = value
+    return run_config_from_dict(doc)

@@ -73,7 +73,11 @@ class Tokenizer:
                   width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Right-pad to the longest sequence in the batch (or to `width`);
         returns (tokens (B, L), lengths (B,)). Pad keys are masked out of
-        attention; a fixed width makes encodings reproducible across batchings."""
+        attention. `DualEncoder.encode_text` drops pad columns down to the
+        longest length rounded up to a multiple of 8 (at least 8), so every
+        width at least that wide, `max_len` included, encodes to the same bits
+        across batchings at no extra cost. Padding to the longest sequence
+        alone may round differently."""
         if width is None:
             width = max(len(s) for s in sequences)
         batch = np.full((len(sequences), width), PAD_ID, dtype=np.int64)

@@ -185,7 +185,11 @@ class DualEncoder:
         """Encode padded token batches to (B, proj_dim) Euclidean vectors.
 
         Pooling takes the representation at the last real token; padding is
-        masked out of attention.
+        masked out of attention. `lengths` (one per row, each in
+        [1, width]) defaults to the count of non-pad tokens. Columns past
+        the longest length are dropped down to the next multiple of 8 (at
+        least 8) before encoding, so any wider padding costs nothing and
+        changes no bit of the result. NEFTune noise is drawn at that width.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
@@ -201,9 +205,19 @@ class DualEncoder:
                 raise ValueError("empty token sequence")
             lengths = nonpad.sum(axis=1)
         lengths = np.asarray(lengths, dtype=np.int64)
+        B, width = tokens.shape
+        if lengths.shape != (B,):
+            raise ValueError(f"lengths has shape {lengths.shape}, expected ({B},) for {B} rows")
         if (lengths < 1).any():
             raise ValueError("empty token sequence")
-        L = tokens.shape[1]
+        if (lengths > width).any():
+            raise ValueError(f"length {lengths.max()} exceeds the token width {width}")
+        # Dropped columns only feed masked keys (softmax weight exactly 0.0)
+        # and rows pooling never reads. numpy sums each softmax row in 8
+        # lanes, to which they add exact zeros, so a multiple of 8 keeps
+        # every bit; trimming to the longest length would not.
+        L = min(width, max(8, -(-int(lengths.max()) // 8) * 8))
+        tokens = tokens[:, :L]
         x = ag.embedding_lookup(self.store["text.tok_emb"], tokens)
         x = x + self.store["text.pos_emb"][:L]
         if noise_rng is not None and neftune_alpha > 0:

@@ -141,6 +141,32 @@ class TestExitCodes:
         assert "n_samples" in capsys.readouterr().err
         assert not (tmp_path / "pretrain_metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("pretrain", ["--steps", "-5"], "section 'pretrain': steps"),
+        ("pretrain", ["--steps", "3"], "section 'pretrain': warmup_steps must be < steps"),
+        ("pretrain", ["--steps", "300"], "section 'pretrain': batch_size 16 exceeds"),
+        ("adapt", ["--steps", "-5"], "section 'adapt': steps"),
+        ("adapt", ["--steps", "3"], "section 'adapt': warmup_steps must be < steps"),
+        ("adapt", ["--lambda", "-1"], "section 'loss': lambda_entail must be non-negative"),
+    ], ids=["pretrain-steps_negative", "pretrain-steps_below_warmup",
+            "pretrain-steps_with_batch_above_n_samples", "adapt-steps_negative",
+            "adapt-steps_below_warmup", "adapt-lambda_negative"])
+    def test_override_flag_is_validated_before_writing(self, tmp_path, capsys, command, flags,
+                                                       message):
+        # warmup_steps keeps its default 200, so a 3-step override must fail;
+        # a steps: 0 section may hold any batch size until --steps makes it train
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"data": {"n_samples": 8},
+                                    "pretrain": {"steps": 0, "batch_size": 16},
+                                    "adapt": {"steps": 0, "batch_size": 16}}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out), *flags]
+        if command == "adapt":
+            argv += ["--checkpoint", str(tmp_path / "euclidean.npz")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("arch", [[], {"text": {"n_layers": 2}}], ids=["list", "no-vision"])
     def test_count_params_bad_arch_document_exits_2(self, tmp_path, capsys, arch):
         (tmp_path / "arch.json").write_text(json.dumps(arch))

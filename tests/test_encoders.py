@@ -1,5 +1,7 @@
 """Dual-encoder tests: shapes, masking, pooling, determinism, freezing."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,36 @@ class TestForward:
             model.encode_text(np.array([[999]]))
         with pytest.raises(ValueError, match="empty"):
             model.encode_text(np.array([[PAD_ID, PAD_ID]]))
+
+    def test_lengths_validation(self, model):
+        tokens = np.array([[3, 5, 7, 0], [4, 0, 0, 0]])
+        with pytest.raises(ValueError, match="exceeds the token width 4"):
+            model.encode_text(tokens, np.array([3, 5]))
+        with pytest.raises(ValueError, match="lengths has shape"):
+            model.encode_text(tokens, np.array([3, 1, 2]))
+        with pytest.raises(ValueError, match="lengths has shape"):
+            model.encode_text(tokens, np.array([[3, 1]]))
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+    def test_row_bits_do_not_depend_on_batch_width(self, model, grad):
+        # Rows of 1-7 tokens are encoded at width 8 on their own, at 16 beside
+        # a row of 10 tokens and at 32 beside one of 19; the 10-token row at 16
+        # and at 32. No row's bits may move. Neither 10 nor 19 is a multiple
+        # of 4, so a trim to the longest row or to a multiple of 4 shows here.
+        # (Every batch holds several rows: a one-row head is a matrix-vector
+        # product, which rounds differently.)
+        rng = np.random.default_rng(7)
+        cfg = model.text_cfg
+        lengths = [*range(1, 8), 10, 19]
+        tokens = np.zeros((len(lengths), cfg.max_len), dtype=np.int64)
+        for i, n in enumerate(lengths):
+            tokens[i, :n] = rng.integers(1, cfg.vocab_size, size=n)
+        lengths = np.array(lengths)
+        with contextlib.nullcontext() if grad else ag.no_grad():
+            short, mid, full = (model.encode_text(tokens[:n], lengths[:n]).data for n in (7, 8, 9))
+        assert np.array_equal(mid[:7], short)
+        assert np.array_equal(full[:7], short)
+        assert np.array_equal(full[7], mid[7])
 
     def test_image_validation(self, model):
         with pytest.raises(ValueError, match="shape"):

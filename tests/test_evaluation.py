@@ -4,7 +4,7 @@ the scoring machinery, not model quality)."""
 import numpy as np
 import pytest
 
-from hyperlift.data import Tokenizer, generate_corpus, generate_vqa
+from hyperlift.data import Tokenizer, VqaItem, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.evaluation import (
     EvalReport,
@@ -107,6 +107,33 @@ class TestPrediction:
             expected = geodesic_distance(img[:, None, :], txt, model.manifold.kappa).data
         report = evaluate(vqa, model, batch_size=len(vqa))
         assert np.array_equal([rec["distances"] for rec in report.per_item], expected)
+
+    def test_width_boundary_keeps_distances_and_predictions(self, model):
+        # Criterion 9 across the trim boundary. A 9-token query makes
+        # `evaluate` encode its chunk at width 16; beside 3-token queries only,
+        # the 6-token queries of the item under test are encoded at width 8,
+        # and so are they in `predict_answer`. Both chunks hold the same two
+        # images, so that item's distances must keep every bit.
+        # `predict_answer` scores one image, whose head is a matrix-vector
+        # product that rounds otherwise, so against it only the predictions
+        # are compared.
+        tok = Tokenizer()
+        first, second = generate_vqa(seed=3, n_items=2)
+
+        def asking(it, question):
+            return VqaItem(image=it.image, question=question, candidates=it.candidates,
+                           gold_index=it.gold_index)
+
+        long = asking(first, "what object is shown in the picture with")
+        item = asking(second, "what object is shown with")
+        assert {len(q) for q in form_queries(long.question, long.candidates, tok)} == {9}
+        assert {len(q) for q in form_queries(item.question, item.candidates, tok)} == {6}
+        wide = evaluate([long, item], model)
+        narrow = evaluate([first, item], model)
+        assert np.array_equal(wide.per_item[1]["distances"], narrow.per_item[1]["distances"])
+        for it, rec in zip((long, item), wide.per_item):
+            queries = form_queries(it.question, it.candidates, tok)
+            assert predict_answer(it.image, queries, model, tok) == rec["predicted"]
 
     def test_batch_size_does_not_change_predictions(self, model, vqa):
         a = evaluate(vqa, model, batch_size=7)
