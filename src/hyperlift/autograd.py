@@ -71,9 +71,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 

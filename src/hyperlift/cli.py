@@ -59,11 +59,11 @@ def cmd_adapt(args) -> int:
                                         ("adapt", "steps"): args.steps,
                                         ("peft", "method"): args.method,
                                         ("loss", "lambda_entail"): args.lambda_entail})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     encoder = ckpt.load_euclidean(args.checkpoint)
     model = assemble_adapted_model(encoder, cfg.peft, seed=cfg.seed,
                                    init_kappa=cfg.init_kappa, tau_init=cfg.loss.tau_init)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     corpus = _corpus_from(cfg)
     if cfg.adapt.steps > 0:
         run_adapt(corpus, model, cfg.adapt, cfg.loss,
@@ -87,7 +87,7 @@ def cmd_geometry(args) -> int:
     cfg = load_run_config(args.config)
     model = ckpt.load_adapted(args.checkpoint)
     corpus = _corpus_from(cfg)
-    report = geometry_report(corpus, model)
+    report = geometry_report(corpus, model, cone=cfg.loss.cone)
     Path(args.report).write_text(json.dumps(report, indent=2))
     print(f"wrote geometry report -> {args.report}")
     return EXIT_OK

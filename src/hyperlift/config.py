@@ -5,11 +5,10 @@ Unknown keys are rejected so a typo cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import GLYPH_NAMES, IMAGE_SIZE
 from .encoders import EncoderConfig
-from .manifold import ConeParams
 from .objectives import LossConfig
 from .peft import ConfigError, PeftConfig
 from .training import TrainConfig
@@ -54,43 +53,23 @@ def build_section(cls, d: dict, path: str):
         raise ConfigError(f"in section {path!r}: {exc}") from None
 
 
-def _build_loss(d: dict) -> LossConfig:
-    d = dict(d)
-    cone_k = d.pop("cone_k", None)
-    pairs = d.pop("entailment_pairs", None)
-    cfg = build_section(LossConfig, d, "loss")
-    if cone_k is not None:
-        cfg.cone = ConeParams(boundary_const=float(cone_k))
-    if pairs is not None:
-        cfg.entailment_pairs = tuple(tuple(p) for p in pairs)
-    return cfg
-
-
-_SECTIONS = ("seed", "data", "text_encoder", "vision_encoder", "peft",
-             "pretrain", "adapt", "loss", "init_kappa")
+_SECTIONS = {f.name for f in fields(RunConfig)}
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("a run config must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
+    unknown = set(doc) - _SECTIONS
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     try:
         seed, init_kappa = int(doc.get("seed", 0)), float(doc.get("init_kappa", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed and init_kappa must be numbers: {exc}") from None
-    cfg = RunConfig(
-        seed=seed,
-        data=build_section(DataConfig, doc.get("data", {}), "data"),
-        text_encoder=build_section(EncoderConfig, doc.get("text_encoder", {}), "text_encoder"),
-        vision_encoder=build_section(EncoderConfig, doc.get("vision_encoder", {}), "vision_encoder"),
-        peft=build_section(PeftConfig, doc.get("peft", {}), "peft"),
-        pretrain=build_section(TrainConfig, doc.get("pretrain", {}), "pretrain"),
-        adapt=build_section(TrainConfig, doc.get("adapt", {}), "adapt"),
-        loss=_build_loss(doc.get("loss", {})),
-        init_kappa=init_kappa,
-    )
+    # every field with a default_factory is a section, built by its class
+    sections = {f.name: build_section(f.default_factory, doc.get(f.name, {}), f.name)
+                for f in fields(RunConfig) if f.default_factory is not MISSING}
+    cfg = RunConfig(seed=seed, init_kappa=init_kappa, **sections)
     for name in ("pretrain", "adapt"):
         train = getattr(cfg, name)
         if train.steps > 0 and train.batch_size > cfg.data.n_samples:

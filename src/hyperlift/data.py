@@ -248,7 +248,11 @@ def generate_vqa(seed: int, n_items: int, glyph_set_size: int = 8) -> list[VqaIt
 def neftune_noise(token_embeddings: Tensor, alpha_noise: float, rng: np.random.Generator) -> Tensor:
     """Add uniform noise in [-a/sqrt(L*d), +a/sqrt(L*d)] to token embeddings.
 
-    Training-time only; the caller simply skips this at evaluation.
+    L is the batch's token width (`shape[-2]`), not each row's length, so a
+    row's noise depends on the longest row in its batch. That is by design:
+    NEFTune's reference hook scales by the padded `size(1) * size(2)` too
+    (Jain et al., arXiv:2310.05914). Training-time only; the caller simply
+    skips this at evaluation.
     """
     if alpha_noise == 0.0:
         return token_embeddings

@@ -14,7 +14,7 @@ import numpy as np
 from .autograd import no_grad
 from .data import Tokenizer, VqaItem
 from .manifold import ConeParams, exterior_angle, geodesic_distance, half_aperture, lorentz_radius
-from .objectives import DEFAULT_ENTAILMENT_PAIRS, pair_rows
+from .objectives import DEFAULT_ENTAILMENT_PAIRS, POINT_SETS, pair_rows
 from .peft import AdaptedModel, distinct_rows
 from .training import CorpusBatcher
 
@@ -26,7 +26,6 @@ class EvalReport:
     accuracy: float
     n_items: int
     per_item: list = field(default_factory=list)
-    geometry: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -102,16 +101,15 @@ def evaluate(vqa_set: list[VqaItem], model: AdaptedModel, tokenizer=None,
     return EvalReport(accuracy=n_correct / len(vqa_set), n_items=len(vqa_set), per_item=per_item)
 
 
-def geometry_report(corpus_sample, model: AdaptedModel, tokenizer=None,
-                    cone: ConeParams | None = None, batch_size: int = 256) -> dict:
+def geometry_report(corpus_sample, model: AdaptedModel, cone: ConeParams | None = None,
+                    batch_size: int = 256) -> dict:
     """Per-category Lorentz radii and the cone-containment rate over true
     parent/child pairs."""
     if len(corpus_sample) < 1:
         raise ValueError("empty corpus sample")
-    tokenizer = tokenizer or Tokenizer(model.encoder.text_cfg.max_len)
     cone = cone or ConeParams()
-    batcher = CorpusBatcher(corpus_sample, tokenizer, seed=0)
-    radii = {"image": [], "text": [], "image_box": [], "text_box": []}
+    batcher = CorpusBatcher(corpus_sample, Tokenizer(model.encoder.text_cfg.max_len), seed=0)
+    radii = {name: [] for name in POINT_SETS}
     contained, total = 0, 0
     with no_grad():
         kappa = model.manifold.kappa

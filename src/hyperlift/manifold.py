@@ -66,7 +66,7 @@ def exp_map_origin(v_euc, kappa) -> Tensor:
     return ag.concat([x_space, ag.reshape(x_time, x_time.shape + (1,))], axis=-1)
 
 
-def exp_map_general(p, v, kappa, tangent_atol=MANIFOLD_ATOL) -> Tensor:
+def exp_map_general(p, v, kappa) -> Tensor:
     """Exponential map at an arbitrary base point.
 
     cosh(sqrt(k)|v|_L) p + sinh(sqrt(k)|v|_L)/(sqrt(k)|v|_L) v, where |v|_L is
@@ -74,7 +74,7 @@ def exp_map_general(p, v, kappa, tangent_atol=MANIFOLD_ATOL) -> Tensor:
     """
     p, v, kappa = as_tensor(p), as_tensor(v), as_tensor(kappa)
     tangency = np.abs(lorentz_inner(v, p).data)
-    if np.any(tangency > tangent_atol):
+    if np.any(tangency > MANIFOLD_ATOL):
         raise ValueError(f"vector is not tangent at base point (|<v,p>_L| up to {tangency.max():.3g})")
     sk = ag.sqrt(kappa)
     vnorm = ag.sqrt(ag.clamp(lorentz_inner(v, v), lo=0.0) + 1e-30)
@@ -128,7 +128,7 @@ def half_aperture(x, kappa, cone: ConeParams) -> Tensor:
     return ag.arcsin(ag.clamp(arg, hi=1.0))
 
 
-def exterior_angle(x, y, kappa, origin_eps=ORIGIN_EPS) -> Tensor:
+def exterior_angle(x, y, kappa) -> Tensor:
     """Angle at parent `x` between the geodesic toward `y` and the outward
     cone axis (direction away from the origin).
 
@@ -138,7 +138,7 @@ def exterior_angle(x, y, kappa, origin_eps=ORIGIN_EPS) -> Tensor:
     """
     x, y, kappa = as_tensor(x), as_tensor(y), as_tensor(kappa)
     snorm_val = np.linalg.norm(x.data[..., :-1], axis=-1)
-    if np.any(snorm_val < origin_eps):
+    if np.any(snorm_val < ORIGIN_EPS):
         raise DegenerateInputError("exterior angle undefined for a parent at the origin")
     kxy = kappa * lorentz_inner(x, y)
     numer = y[..., -1] + x[..., -1] * kxy

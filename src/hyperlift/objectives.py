@@ -25,6 +25,8 @@ from .manifold import (
 
 log = logging.getLogger(__name__)
 
+# The lifted point sets of a batch (fields of `BatchEmbeddings`).
+POINT_SETS = ("image", "text", "image_box", "text_box")
 # parent -> child: the child should fall inside the parent's entailment cone.
 DEFAULT_ENTAILMENT_PAIRS = (
     ("text", "image"),
@@ -36,17 +38,29 @@ DEFAULT_ENTAILMENT_PAIRS = (
 
 @dataclass
 class LossConfig:
+    """Loss settings. `cone_k` is the entailment cones' `boundary_const`, and
+    `cone` is built from it; `entailment_pairs` lists [parent, child] names
+    of `POINT_SETS`."""
+
     lambda_entail: float = 0.1
     tau_init: float = 0.07
-    tau_min: float = 0.01
-    cone: ConeParams = field(default_factory=ConeParams)
+    cone_k: float = 0.1
     entailment_pairs: tuple = DEFAULT_ENTAILMENT_PAIRS
+    cone: ConeParams = field(init=False)
 
     def __post_init__(self):
         if self.lambda_entail < 0:
             raise ValueError("lambda_entail must be non-negative")
-        if self.tau_init <= 0:
-            raise ValueError("tau_init must be positive")
+        if not all(isinstance(v, (int, float)) and v > 0 for v in (self.tau_init, self.cone_k)):
+            raise ValueError("tau_init and cone_k must be positive numbers")
+        self.cone = ConeParams(boundary_const=float(self.cone_k))
+        pairs = self.entailment_pairs
+        if not isinstance(pairs, (list, tuple)) or not pairs or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(n in POINT_SETS for n in p)
+                for p in pairs):
+            raise ValueError(f"entailment_pairs must be a nonempty list of [parent, child] "
+                             f"pairs of {POINT_SETS}")
+        self.entailment_pairs = tuple(tuple(p) for p in pairs)
 
 
 @dataclass

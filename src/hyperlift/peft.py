@@ -48,8 +48,11 @@ class PeftConfig:
     def __post_init__(self):
         if self.method not in PEFT_METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {PEFT_METHODS}")
-        self.vision_layers = tuple(sorted(self.vision_layers))
-        self.text_layers = tuple(sorted(self.text_layers))
+        for name in ("vision_layers", "text_layers"):
+            layers = tuple(getattr(self, name))
+            if not all(type(i) is int for i in layers) or len(set(layers)) < len(layers):  # no bools
+                raise ConfigError(f"{name} must list distinct int block indices, got {list(layers)}")
+            setattr(self, name, tuple(sorted(layers)))
         self.lora_targets = tuple(self.lora_targets)
         if self.lora_rank < 1 or self.bottleneck_dim < 1:
             raise ConfigError("lora_rank and bottleneck_dim must be >= 1")
@@ -175,12 +178,13 @@ class AdaptedModel:
     fresh trainable heads and final LayerNorms, manifold scalars, and a
     learnable contrastive temperature (log-space, floored at `tau_min`)."""
 
+    tau_min = 0.01  # `load_adapted` sets the value a checkpoint was saved with
+
     def __init__(self, encoder: DualEncoder, peft: PeftConfig, manifold: ManifoldParams,
-                 tau_init: float = 0.07, tau_min: float = 0.01):
+                 tau_init: float = 0.07):
         self.encoder = encoder
         self.peft = peft
         self.manifold = manifold
-        self.tau_min = tau_min
         self.store = encoder.store
         self.log_tau = self.store.add("loss.log_tau", math.log(tau_init), no_decay=True)
 

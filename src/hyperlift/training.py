@@ -43,8 +43,11 @@ class TrainConfig:
             raise ValueError("steps, warmup_steps and neftune_alpha must be >= 0")
         if self.steps > 0 and self.warmup_steps >= self.steps:
             raise ValueError("warmup_steps must be < steps")
-        if self.base_lr < 0:
-            raise ValueError("base_lr must be non-negative")
+        if min(self.base_lr, self.weight_decay, self.grad_clip) < 0:
+            raise ValueError("base_lr, weight_decay and grad_clip must be >= 0")
+        if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
+                and all(isinstance(b, (int, float)) and 0 <= b < 1 for b in self.betas)):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.log_every < 1:
@@ -191,7 +194,7 @@ def _train(corpus, store: ParamStore, cfg: TrainConfig, tokenizer, metrics_path,
     return metrics
 
 
-def pretrain_euclidean(corpus, model, cfg: TrainConfig, tokenizer=None, metrics_path=None) -> MetricsLog:
+def pretrain_euclidean(corpus, model, cfg: TrainConfig, metrics_path=None) -> MetricsLog:
     """Train the Euclidean dual encoder with symmetric cosine-similarity
     contrastive loss; its checkpoint becomes the frozen adaptation backbone."""
     def loss_fn(batch):
@@ -202,12 +205,11 @@ def pretrain_euclidean(corpus, model, cfg: TrainConfig, tokenizer=None, metrics_
         loss = symmetric_info_nce((v_img @ ag.transpose(v_txt, (1, 0))) * model.logit_scale())
         return loss, {"loss": loss.item()}
 
-    tokenizer = tokenizer or Tokenizer(model.text_cfg.max_len)
-    return _train(corpus, model.store, cfg, tokenizer, metrics_path, loss_fn)
+    return _train(corpus, model.store, cfg, Tokenizer(model.text_cfg.max_len), metrics_path, loss_fn)
 
 
 def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
-          tokenizer=None, metrics_path=None) -> MetricsLog:
+          metrics_path=None) -> MetricsLog:
     """Hyperbolic adaptation: compositional contrastive + entailment hinge on
     the PEFT-wrapped model. Frozen tensors are never updated."""
     noise_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x0E11)))
@@ -228,5 +230,5 @@ def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
             "alpha_txt": model.manifold.alpha("text").item(),
         }
 
-    tokenizer = tokenizer or Tokenizer(model.encoder.text_cfg.max_len)
-    return _train(corpus, model.store, cfg, tokenizer, metrics_path, loss_fn, log_fields)
+    return _train(corpus, model.store, cfg, Tokenizer(model.encoder.text_cfg.max_len), metrics_path,
+                  loss_fn, log_fields)

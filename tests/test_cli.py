@@ -9,6 +9,9 @@ import pytest
 from hyperlift.checkpoint import load_adapted, load_euclidean
 from hyperlift.cli import main
 from hyperlift.config import ConfigError, load_run_config, run_config_from_dict
+from hyperlift.data import generate_corpus
+from hyperlift.evaluation import geometry_report
+from hyperlift.manifold import ConeParams
 
 
 def checkpoint_kind(path) -> str:
@@ -73,13 +76,38 @@ class TestRunConfig:
          "pretrain"),
         ({"data": {"n_samples": 8}, "pretrain": {"steps": 0},
           "adapt": {"steps": 3, "batch_size": 16, "warmup_steps": 1}}, "adapt"),
+        ({"loss": []}, "loss"),
+        ({"loss": {"tau_min": 0.05}}, "loss"),
+        ({"loss": {"tau_min": 5.0}}, "loss"),
+        ({"loss": {"tau_min": -3}}, "loss"),
+        ({"loss": {"cone_k": 0}}, "loss"),
+        ({"loss": {"cone_k": "abc"}}, "loss"),
+        ({"loss": {"entailment_pairs": 5}}, "loss"),
+        ({"loss": {"entailment_pairs": [["text", "bogus"]]}}, "loss"),
+        ({"loss": {"entailment_pairs": []}}, "loss"),
+        ({"loss": {"entailment_pairs": [["text_box", "text", "image"]]}}, "loss"),
+        ({"peft": {"text_layers": [0, 0]}}, "peft"),
+        ({"peft": {"text_layers": "01"}}, "peft"),
+        ({"peft": {"text_layers": [0.5]}}, "peft"),
+        ({"peft": {"vision_layers": [True]}}, "peft"),
+        ({"adapt": {"betas": 5}}, "adapt"),
+        ({"adapt": {"betas": [0.9]}}, "adapt"),
+        ({"adapt": {"betas": [0.9, 1.0]}}, "adapt"),
+        ({"adapt": {"weight_decay": -0.1}}, "adapt"),
+        ({"pretrain": {"grad_clip": -1}}, "pretrain"),
     ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads", "text_encoder-d_model",
             "text_encoder-n_layers", "vision_encoder-image_size", "vision_encoder-patch_grid",
             "vision_encoder-image_size_not_corpus", "pretrain-base_lr", "data-glyph_set_size_small",
             "data-glyph_set_size_large", "data-n_samples", "data-n_vqa", "seed-not_a_number",
             "init_kappa-not_a_number", "document-not_an_object", "pretrain-steps_negative",
             "adapt-warmup_steps_negative", "adapt-neftune_alpha_negative",
-            "pretrain-batch_size_above_n_samples", "adapt-batch_size_above_n_samples"])
+            "pretrain-batch_size_above_n_samples", "adapt-batch_size_above_n_samples",
+            "loss-not_an_object", "loss-tau_min", "loss-tau_min_large", "loss-tau_min_negative",
+            "loss-cone_k_zero", "loss-cone_k_not_a_number", "loss-pairs_not_a_list",
+            "loss-pairs_unknown_name", "loss-pairs_empty", "loss-pairs_three_names",
+            "peft-layers_repeated", "peft-layers_string", "peft-layers_float", "peft-layers_bool",
+            "adapt-betas_not_a_list", "adapt-betas_one", "adapt-betas_at_one",
+            "adapt-weight_decay_negative", "pretrain-grad_clip_negative"])
     def test_invalid_value_surfaces_section(self, doc, section):
         with pytest.raises(ConfigError, match=section):
             run_config_from_dict(doc)
@@ -175,6 +203,34 @@ class TestExitCodes:
                      "--peft", str(tmp_path / "peft.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value", [
+        ("loss", {"entailment_pairs": [["text", "bogus"]]}),
+        ("peft", {"method": "lora", "text_layers": [0.5]}),
+        ("adapt", {"steps": 4, "batch_size": 4, "warmup_steps": 1, "betas": 5}),
+    ], ids=["loss", "peft", "adapt"])
+    def test_bad_section_exits_2_before_writing(self, tmp_path, capsys, section, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY_DOC, section: value}))
+        out = tmp_path / "out"
+        assert main(["adapt", "--config", str(path), "--checkpoint", str(tmp_path / "nope.npz"),
+                     "--out", str(out)]) == 2
+        assert f"section {section!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("peft", [{}, {"method": "lora", "text_layers": [7]}],
+                             ids=["missing_checkpoint", "layer_out_of_range"])
+    def test_adapt_config_error_writes_no_output_dir(self, tmp_path, peft):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY_DOC, "peft": peft}))
+        ckpt = tmp_path / "euclidean.npz"
+        if peft:
+            assert main(["pretrain", "--config", str(path), "--out", str(tmp_path),
+                         "--steps", "0"]) == 0
+        out = tmp_path / "out"
+        assert main(["adapt", "--config", str(path), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_2(self, config_path, tmp_path):
         assert main(["adapt", "--config", config_path,
                      "--checkpoint", str(tmp_path / "nope.npz"),
@@ -221,6 +277,24 @@ class TestPipeline:
                      "--report", str(tmp_path / "geometry.json")]) == 0
         geo = json.loads((tmp_path / "geometry.json").read_text())
         assert set(geo["radius"]) == {"image", "text", "image_box", "text_box"}
+
+    # On this untrained model 0.5 gives the same containment rate as the
+    # default 0.1, and 0.02 a different one, so 0.02 shows a cone_k ignored.
+    @pytest.mark.parametrize("cone_k", [0.5, 0.02])
+    def test_geometry_uses_the_run_cone_k(self, tmp_path, cone_k):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY_DOC, "loss": {"cone_k": cone_k}}))
+        out = str(tmp_path)
+        assert main(["pretrain", "--config", str(path), "--out", out, "--steps", "0"]) == 0
+        assert main(["adapt", "--config", str(path), "--checkpoint", str(tmp_path / "euclidean.npz"),
+                     "--out", out, "--steps", "0"]) == 0
+        assert main(["geometry", "--config", str(path), "--checkpoint", str(tmp_path / "adapted.npz"),
+                     "--report", str(tmp_path / "geometry.json")]) == 0
+        geo = json.loads((tmp_path / "geometry.json").read_text())
+        corpus = generate_corpus(0, TINY_DOC["data"]["n_samples"], TINY_DOC["data"]["glyph_set_size"])
+        expected = geometry_report(corpus, load_adapted(tmp_path / "adapted.npz"),
+                                   cone=ConeParams(cone_k))
+        assert geo["containment_rate"] == expected["containment_rate"]
 
     def test_pretrain_steps_zero_writes_init_checkpoint(self, config_path, tmp_path):
         assert main(["pretrain", "--config", config_path, "--out", str(tmp_path),
