@@ -1,6 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 tensors.
 
-The op set is exactly what the encoders, manifold geometry, and losses need.
+The op set is exactly what the encoders, manifold geometry, and losses call,
+in the operand forms they call it with. Each op is a forward computation plus
+one gradient function per operand, handed to `_make`; `_make` is the one place
+that decides which gradients get computed, and it skips every operand that is
+neither trainable nor inside the graph (the frozen backbone, constants).
 Everything runs in double precision; graphs are built eagerly and freed after
 backward. Non-smooth points (clamp boundaries, hinge kinks) use subgradient 0.
 """
@@ -129,9 +133,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -152,19 +153,30 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, op, parents, backward):
-    track = _GRAD_ENABLED and any(p._grad_relevant() for p in parents)
-    if not track:
+def _make(data, op, *edges) -> Tensor:
+    """The node holding `data`, the result of `op`. One `(operand, grad_fn)`
+    edge per operand, in operand order: `grad_fn(g)` maps the gradient of the
+    result to the gradient of that operand, shaped like the operand.
+
+    This is the one place that decides which gradients get computed. With
+    grad disabled, or no operand trainable or inside the graph, the node is a
+    constant. Otherwise its backward calls an edge's `grad_fn` only for an
+    operand that is trainable or inside the graph, so frozen weights and
+    constants cost no gradient work in any op.
+    """
+    if not (_GRAD_ENABLED and any(t._grad_relevant() for t, _ in edges)):
         return Tensor(data, op=op)
-    return Tensor(data, op=op, parents=tuple(parents), backward=backward)
+
+    def backward(g):
+        for t, grad_fn in edges:
+            if t._grad_relevant():
+                _accum(t, grad_fn(g))
+
+    return Tensor(data, op=op, parents=tuple(t for t, _ in edges), backward=backward)
 
 
 def _accum(t: Tensor, g):
-    if not t._grad_relevant():
-        return  # frozen leaves and pure constants receive no gradient
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != t.data.shape:
-        g = np.broadcast_to(g, t.data.shape)
     if t.grad is None:
         # Held by reference and never mutated in place (accumulation below
         # allocates), so sharing one upstream array between parents is safe.
@@ -178,86 +190,43 @@ def _accum(t: Tensor, g):
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        for t in (a, b):
-            if t._grad_relevant():  # no reduction for a frozen operand
-                _accum(t, _unbroadcast(g, t.data.shape))
-
-    return _make(out_data, "add", (a, b), backward)
+    return _make(a.data + b.data, "add",
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        for t, other in ((a, b), (b, a)):
-            if t._grad_relevant():
-                _accum(t, _unbroadcast(g * other.data, t.data.shape))
-
-    return _make(out_data, "mul", (a, b), backward)
+    return _make(a.data * b.data, "mul",
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a._grad_relevant():
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b._grad_relevant():
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, "div", (a, b), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data**exponent
-
-    def backward(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1))
-
-    return _make(out_data, "pow", (a,), backward)
+    return _make(a.data / b.data, "div",
+                 (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def matmul(a, b) -> Tensor:
+    """`a @ b` in the two forms the encoders use: a stack of rows (..., n)
+    against a matrix (n, m), or two stacks with equal batch shapes. 1-d
+    operands and broadcast batch axes raise ValueError."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
+    if (a.ndim < 2 or b.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]
+            or (b.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2])):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        # Fast path: stacked input against a plain weight matrix (the common
-        # case in the encoders) collapses to two flat GEMMs, skipped for a
-        # frozen operand.
-        if a.ndim >= 2 and b.ndim == 2:
-            if a._grad_relevant():
-                _accum(a, g @ b.data.T)
-            if b._grad_relevant():
-                d_in, d_out = b.data.shape
-                _accum(b, a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
-            return
-        # Promote 1-d operands to matrices so one code path covers all cases.
-        ad = a.data[None, :] if a.ndim == 1 else a.data
-        bd = b.data[:, None] if b.ndim == 1 else b.data
-        gg = g
-        if a.ndim == 1:
-            gg = np.expand_dims(gg, -2)
-        if b.ndim == 1:
-            gg = np.expand_dims(gg, -1)
-        ga = gg @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ gg
-        if a.ndim == 1:
-            ga = ga.reshape(-1, a.data.shape[0]).sum(axis=0) if ga.ndim > 2 else ga[..., 0, :]
-        if b.ndim == 1:
-            gb = gb[..., 0]
-        _accum(a, _unbroadcast(np.ascontiguousarray(ga), a.data.shape))
-        _accum(b, _unbroadcast(np.ascontiguousarray(gb), b.data.shape))
-
-    return _make(out_data, "matmul", (a, b), backward)
+    if b.ndim == 2:
+        # The matrix's gradient sums over every row of the stack: one flat GEMM.
+        def grad_b(g):
+            d_in, d_out = b.data.shape
+            return a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+    else:
+        def grad_b(g):
+            return np.swapaxes(a.data, -1, -2) @ g
+    return _make(a.data @ b.data, "matmul",
+                 (a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, grad_b))
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -265,59 +234,42 @@ def matmul(a, b) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _make(out_data, "reshape", (a,), backward)
+    return _make(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(a.data.shape)))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.transpose(axes)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        _accum(a, g.transpose(inv))
-
-    return _make(out_data, "transpose", (a,), backward)
+    return _make(a.data.transpose(axes), "transpose",
+                 (a, lambda g: g.transpose(np.argsort(axes))))
 
 
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data[key]
 
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(a.data)
         np.add.at(full, key, g)
-        _accum(a, full)
+        return full
 
-    return _make(out_data, "getitem", (a,), backward)
+    return _make(a.data[key], "getitem", (a, grad))
 
 
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
-
-    return _make(out_data, "concat", tuple(tensors), backward)
+    lead = (slice(None),) * (axis % out_data.ndim)
+    edges, start = [], 0
+    for t in tensors:
+        stop = start + t.data.shape[axis]
+        edges.append((t, lambda g, piece=lead + (slice(start, stop),): g[piece]))
+        start = stop
+    return _make(out_data, "concat", *edges)
 
 
 def stack(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            _accum(t, np.take(g, i, axis=axis))
-
-    return _make(out_data, "stack", tuple(tensors), backward)
+    return _make(np.stack([t.data for t in tensors], axis=axis), "stack",
+                 *((t, lambda g, i=i: np.take(g, i, axis=axis)) for i, t in enumerate(tensors)))
 
 
 # -- reductions --------------------------------------------------------------
@@ -325,17 +277,13 @@ def stack(tensors, axis=0) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+    def grad(g):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return _make(out_data, "sum", (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a, grad))
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -350,19 +298,11 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 def _pointwise(a, fn, dfn, op):
     a = as_tensor(a)
     out_data = fn(a.data)
-
-    def backward(g):
-        _accum(a, g * dfn(a.data, out_data))
-
-    return _make(out_data, op, (a,), backward)
+    return _make(out_data, op, (a, lambda g: g * dfn(a.data, out_data)))
 
 
 def exp(a) -> Tensor:
     return _pointwise(a, np.exp, lambda x, y: y, "exp")
-
-
-def log(a) -> Tensor:
-    return _pointwise(a, np.log, lambda x, y: 1.0 / x, "log")
 
 
 def sqrt(a) -> Tensor:
@@ -371,14 +311,6 @@ def sqrt(a) -> Tensor:
 
 def cosh(a) -> Tensor:
     return _pointwise(a, np.cosh, lambda x, y: np.sinh(x), "cosh")
-
-
-def sinh(a) -> Tensor:
-    return _pointwise(a, np.sinh, lambda x, y: np.cosh(x), "sinh")
-
-
-def tanh(a) -> Tensor:
-    return _pointwise(a, np.tanh, lambda x, y: 1.0 - y * y, "tanh")
 
 
 def acosh(a) -> Tensor:
@@ -391,35 +323,30 @@ def acosh(a) -> Tensor:
     arg = np.maximum(a.data, 1.0)
     # Snap arguments within round-off of 1 so d(x, x) is exactly zero.
     arg = np.where(arg - 1.0 < 1e-12, 1.0, arg)
-    out_data = np.arccosh(arg)
 
-    def backward(g):
+    def grad(g):
         x = np.maximum(a.data, ACOSH_GRAD_FLOOR)
-        _accum(a, g / np.sqrt(x * x - 1.0))
+        return g / np.sqrt(x * x - 1.0)
 
-    return _make(out_data, "acosh", (a,), backward)
+    return _make(np.arccosh(arg), "acosh", (a, grad))
+
+
+def _arcsin_grad_denominator(x):
+    """sqrt(1 - x^2), the reciprocal of arcsin's derivative, with x kept off +-1."""
+    x = np.clip(x, -ARCSIN_GRAD_CEIL, ARCSIN_GRAD_CEIL)
+    return np.sqrt(1.0 - x * x)
 
 
 def arcsin(a) -> Tensor:
     a = as_tensor(a)
-    out_data = np.arcsin(np.clip(a.data, -1.0, 1.0))
-
-    def backward(g):
-        x = np.clip(a.data, -ARCSIN_GRAD_CEIL, ARCSIN_GRAD_CEIL)
-        _accum(a, g / np.sqrt(1.0 - x * x))
-
-    return _make(out_data, "arcsin", (a,), backward)
+    return _make(np.arcsin(np.clip(a.data, -1.0, 1.0)), "arcsin",
+                 (a, lambda g: g / _arcsin_grad_denominator(a.data)))
 
 
 def arccos(a) -> Tensor:
     a = as_tensor(a)
-    out_data = np.arccos(np.clip(a.data, -1.0, 1.0))
-
-    def backward(g):
-        x = np.clip(a.data, -ARCSIN_GRAD_CEIL, ARCSIN_GRAD_CEIL)
-        _accum(a, -g / np.sqrt(1.0 - x * x))
-
-    return _make(out_data, "arccos", (a,), backward)
+    return _make(np.arccos(np.clip(a.data, -1.0, 1.0)), "arccos",
+                 (a, lambda g: -g / _arcsin_grad_denominator(a.data)))
 
 
 _SINHC_TAYLOR_CUTOFF = 1e-4
@@ -431,33 +358,31 @@ def sinhc(a) -> Tensor:
     x = a.data
     small = np.abs(x) < _SINHC_TAYLOR_CUTOFF
     safe = np.where(small, 1.0, x)
-    out_data = np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(safe) / safe)
 
-    def backward(g):
-        d = np.where(
+    def grad(g):
+        return g * np.where(
             small,
             x / 3.0 + x**3 / 30.0,
             (np.cosh(safe) * safe - np.sinh(safe)) / (safe * safe),
         )
-        _accum(a, g * d)
 
-    return _make(out_data, "sinhc", (a,), backward)
+    return _make(np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(safe) / safe),
+                 "sinhc", (a, grad))
 
 
 def clamp(a, lo=None, hi=None) -> Tensor:
     """Clip to [lo, hi]; subgradient 0 at and beyond the boundaries."""
     a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-    mask = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        mask &= a.data > lo
-    if hi is not None:
-        mask &= a.data < hi
 
-    def backward(g):
-        _accum(a, g * mask)
+    def grad(g):
+        inside = np.ones_like(a.data, dtype=bool)
+        if lo is not None:
+            inside &= a.data > lo
+        if hi is not None:
+            inside &= a.data < hi
+        return g * inside
 
-    return _make(out_data, "clamp", (a,), backward)
+    return _make(np.clip(a.data, lo, hi), "clamp", (a, grad))
 
 
 def relu(a) -> Tensor:
@@ -472,12 +397,8 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out_data = x * cdf
-
-    def backward(g):
-        _accum(a, g * (cdf + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)))
-
-    return _make(out_data, "gelu", (a,), backward)
+    return _make(x * cdf, "gelu",
+                 (a, lambda g: g * (cdf + x * _INV_SQRT2PI * np.exp(-0.5 * x * x))))
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -485,25 +406,15 @@ def softmax(a, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-
-    return _make(y, "softmax", (a,), backward)
+    return _make(y, "softmax", (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(a, axis=-1) -> Tensor:
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    y = np.exp(out_data)
-
-    def backward(g):
-        _accum(a, g - y * g.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, "log_softmax", (a,), backward)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return _make(out_data, "log_softmax",
+                 (a, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_normalize(x, gain, bias, eps=1e-5) -> Tensor:
@@ -516,25 +427,21 @@ def layer_normalize(x, gain, bias, eps=1e-5) -> Tensor:
     centered = x.data - mu
     inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
     xhat = centered * inv_std
-    out_data = xhat * gain.data + bias.data
 
-    def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        if gain._grad_relevant():
-            _accum(gain, (g * xhat).sum(axis=lead))
-        if bias._grad_relevant():
-            _accum(bias, g.sum(axis=lead))
-        if not x._grad_relevant():
-            return
+    lead = tuple(range(x.ndim - 1))
+
+    def grad_x(g):
         dxhat = g * gain.data
-        dx = inv_std * (
+        return inv_std * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        _accum(x, dx)
 
-    return _make(out_data, "layer_norm", (x, gain, bias), backward)
+    return _make(xhat * gain.data + bias.data, "layer_norm",
+                 (x, grad_x),
+                 (gain, lambda g: (g * xhat).sum(axis=lead)),
+                 (bias, lambda g: g.sum(axis=lead)))
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -543,9 +450,8 @@ def embedding_lookup(table, indices) -> Tensor:
     indices = np.asarray(indices)
     if indices.min() < 0 or indices.max() >= table.data.shape[0]:
         raise ValueError("embedding index out of range")
-    out_data = table.data[indices]
 
-    def backward(g):
+    def grad(g):
         flat_idx = indices.reshape(-1)
         flat_g = g.reshape(-1, table.data.shape[1])
         vocab = table.data.shape[0]
@@ -553,13 +459,12 @@ def embedding_lookup(table, indices) -> Tensor:
             # One-hot GEMM scatter: much faster than np.add.at at toy vocab.
             onehot = np.zeros((flat_idx.size, vocab))
             onehot[np.arange(flat_idx.size), flat_idx] = 1.0
-            _accum(table, onehot.T @ flat_g)
-        else:
-            full = np.zeros_like(table.data)
-            np.add.at(full, flat_idx, flat_g)
-            _accum(table, full)
+            return onehot.T @ flat_g
+        full = np.zeros_like(table.data)
+        np.add.at(full, flat_idx, flat_g)
+        return full
 
-    return _make(out_data, "embedding", (table,), backward)
+    return _make(table.data[indices], "embedding", (table, grad))
 
 
 def gather_rows(x, row_indices) -> Tensor:
@@ -567,14 +472,13 @@ def gather_rows(x, row_indices) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(row_indices)
     batch = np.arange(x.data.shape[0])
-    out_data = x.data[batch, idx]
 
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(x.data)
         full[batch, idx] = g
-        _accum(x, full)
+        return full
 
-    return _make(out_data, "gather_rows", (x,), backward)
+    return _make(x.data[batch, idx], "gather_rows", (x, grad))
 
 
 def l2_norm(a, axis=-1, keepdims=False) -> Tensor:

@@ -87,7 +87,7 @@ def cmd_geometry(args) -> int:
     cfg = load_run_config(args.config)
     model = ckpt.load_adapted(args.checkpoint)
     corpus = _corpus_from(cfg)
-    report = geometry_report(corpus, model, cone=cfg.loss.cone)
+    report = geometry_report(corpus, model, loss=cfg.loss)
     Path(args.report).write_text(json.dumps(report, indent=2))
     print(f"wrote geometry report -> {args.report}")
     return EXIT_OK

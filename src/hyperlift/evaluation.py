@@ -13,8 +13,8 @@ import numpy as np
 
 from .autograd import no_grad
 from .data import Tokenizer, VqaItem
-from .manifold import ConeParams, exterior_angle, geodesic_distance, half_aperture, lorentz_radius
-from .objectives import DEFAULT_ENTAILMENT_PAIRS, POINT_SETS, pair_rows
+from .manifold import exterior_angle, geodesic_distance, half_aperture, lorentz_radius
+from .objectives import POINT_SETS, LossConfig, pair_rows
 from .peft import AdaptedModel, distinct_rows
 from .training import CorpusBatcher
 
@@ -101,13 +101,14 @@ def evaluate(vqa_set: list[VqaItem], model: AdaptedModel, tokenizer=None,
     return EvalReport(accuracy=n_correct / len(vqa_set), n_items=len(vqa_set), per_item=per_item)
 
 
-def geometry_report(corpus_sample, model: AdaptedModel, cone: ConeParams | None = None,
+def geometry_report(corpus_sample, model: AdaptedModel, loss: LossConfig | None = None,
                     batch_size: int = 256) -> dict:
-    """Per-category Lorentz radii and the cone-containment rate over true
-    parent/child pairs."""
+    """Per-category Lorentz radii and the cone-containment rate over the true
+    parent/child pairs of the run's entailment relations, with the run's cone
+    (`loss.entailment_pairs` and `loss.cone`; the defaults when `loss` is None)."""
     if len(corpus_sample) < 1:
         raise ValueError("empty corpus sample")
-    cone = cone or ConeParams()
+    loss = loss or LossConfig()
     batcher = CorpusBatcher(corpus_sample, Tokenizer(model.encoder.text_cfg.max_len), seed=0)
     radii = {name: [] for name in POINT_SETS}
     contained, total = 0, 0
@@ -118,11 +119,11 @@ def geometry_report(corpus_sample, model: AdaptedModel, cone: ConeParams | None 
             emb = model.embed_batch(batcher.gather(idx))
             for name, r in radii.items():
                 r.append(lorentz_radius(getattr(emb, name), kappa).data)
-            for parent_name, child_name in DEFAULT_ENTAILMENT_PAIRS:
+            for parent_name, child_name in loss.entailment_pairs:
                 ppts, cpts = pair_rows(getattr(emb, parent_name), getattr(emb, child_name),
                                        parent_name, emb.box_parent)
                 ext = exterior_angle(ppts, cpts, kappa).data
-                psi = half_aperture(ppts, kappa, cone).data
+                psi = half_aperture(ppts, kappa, loss.cone).data
                 contained += int((ext <= psi).sum())
                 total += len(ext)
         report = {"n_samples": len(corpus_sample), "radius": {}, "kappa": kappa.item()}

@@ -53,9 +53,15 @@ class PeftConfig:
             if not all(type(i) is int for i in layers) or len(set(layers)) < len(layers):  # no bools
                 raise ConfigError(f"{name} must list distinct int block indices, got {list(layers)}")
             setattr(self, name, tuple(sorted(layers)))
+        if not all(type(n) is int and n >= 1 for n in (self.lora_rank, self.bottleneck_dim)):
+            raise ConfigError("lora_rank and bottleneck_dim must be ints >= 1")
+        if type(self.lora_alpha) not in (int, float) or not self.lora_alpha > 0:  # no bools, no NaN
+            raise ConfigError(f"lora_alpha must be a positive number, got {self.lora_alpha!r}")
+        if not isinstance(self.rank_stabilized, bool):
+            raise ConfigError(f"rank_stabilized must be true or false, got {self.rank_stabilized!r}")
+        if not isinstance(self.lora_targets, (list, tuple)):
+            raise ConfigError(f"lora_targets must be a list of names, got {self.lora_targets!r}")
         self.lora_targets = tuple(self.lora_targets)
-        if self.lora_rank < 1 or self.bottleneck_dim < 1:
-            raise ConfigError("lora_rank and bottleneck_dim must be >= 1")
         if self.method == "lora":
             if not self.lora_targets:
                 raise ConfigError("lora requires a non-empty target set")

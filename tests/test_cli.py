@@ -6,12 +6,15 @@ import json
 import numpy as np
 import pytest
 
+from hyperlift.autograd import no_grad
 from hyperlift.checkpoint import load_adapted, load_euclidean
 from hyperlift.cli import main
 from hyperlift.config import ConfigError, load_run_config, run_config_from_dict
-from hyperlift.data import generate_corpus
+from hyperlift.data import Tokenizer, generate_corpus
 from hyperlift.evaluation import geometry_report
-from hyperlift.manifold import ConeParams
+from hyperlift.manifold import exterior_angle, half_aperture
+from hyperlift.objectives import LossConfig
+from hyperlift.training import CorpusBatcher
 
 
 def checkpoint_kind(path) -> str:
@@ -90,6 +93,11 @@ class TestRunConfig:
         ({"peft": {"text_layers": "01"}}, "peft"),
         ({"peft": {"text_layers": [0.5]}}, "peft"),
         ({"peft": {"vision_layers": [True]}}, "peft"),
+        ({"peft": {"lora_rank": 2.5}}, "peft"),
+        ({"peft": {"bottleneck_dim": True}}, "peft"),
+        ({"peft": {"lora_alpha": -8}}, "peft"),
+        ({"peft": {"lora_targets": "qv"}}, "peft"),
+        ({"peft": {"rank_stabilized": "no"}}, "peft"),
         ({"adapt": {"betas": 5}}, "adapt"),
         ({"adapt": {"betas": [0.9]}}, "adapt"),
         ({"adapt": {"betas": [0.9, 1.0]}}, "adapt"),
@@ -106,6 +114,8 @@ class TestRunConfig:
             "loss-cone_k_zero", "loss-cone_k_not_a_number", "loss-pairs_not_a_list",
             "loss-pairs_unknown_name", "loss-pairs_empty", "loss-pairs_three_names",
             "peft-layers_repeated", "peft-layers_string", "peft-layers_float", "peft-layers_bool",
+            "peft-lora_rank_float", "peft-bottleneck_dim_bool", "peft-lora_alpha_negative",
+            "peft-lora_targets_string", "peft-rank_stabilized_string",
             "adapt-betas_not_a_list", "adapt-betas_one", "adapt-betas_at_one",
             "adapt-weight_decay_negative", "pretrain-grad_clip_negative"])
     def test_invalid_value_surfaces_section(self, doc, section):
@@ -278,23 +288,41 @@ class TestPipeline:
         geo = json.loads((tmp_path / "geometry.json").read_text())
         assert set(geo["radius"]) == {"image", "text", "image_box", "text_box"}
 
-    # On this untrained model 0.5 gives the same containment rate as the
-    # default 0.1, and 0.02 a different one, so 0.02 shows a cone_k ignored.
-    @pytest.mark.parametrize("cone_k", [0.5, 0.02])
-    def test_geometry_uses_the_run_cone_k(self, tmp_path, cone_k):
+    @staticmethod
+    def geometry_of_untrained_run(tmp_path, loss):
+        """`hyperlift geometry` on a run config with this `loss` section and an
+        untrained adapted model; returns the report, the corpus and the model."""
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({**TINY_DOC, "loss": {"cone_k": cone_k}}))
+        path.write_text(json.dumps({**TINY_DOC, "loss": loss}))
         out = str(tmp_path)
         assert main(["pretrain", "--config", str(path), "--out", out, "--steps", "0"]) == 0
         assert main(["adapt", "--config", str(path), "--checkpoint", str(tmp_path / "euclidean.npz"),
                      "--out", out, "--steps", "0"]) == 0
         assert main(["geometry", "--config", str(path), "--checkpoint", str(tmp_path / "adapted.npz"),
                      "--report", str(tmp_path / "geometry.json")]) == 0
-        geo = json.loads((tmp_path / "geometry.json").read_text())
         corpus = generate_corpus(0, TINY_DOC["data"]["n_samples"], TINY_DOC["data"]["glyph_set_size"])
-        expected = geometry_report(corpus, load_adapted(tmp_path / "adapted.npz"),
-                                   cone=ConeParams(cone_k))
+        return (json.loads((tmp_path / "geometry.json").read_text()), corpus,
+                load_adapted(tmp_path / "adapted.npz"))
+
+    # On this untrained model 0.5 gives the same containment rate as the
+    # default 0.1, and 0.02 a different one, so 0.02 shows a cone_k ignored.
+    @pytest.mark.parametrize("cone_k", [0.5, 0.02])
+    def test_geometry_uses_the_run_cone_k(self, tmp_path, cone_k):
+        geo, corpus, model = self.geometry_of_untrained_run(tmp_path, {"cone_k": cone_k})
+        expected = geometry_report(corpus, model, loss=LossConfig(cone_k=cone_k))
         assert geo["containment_rate"] == expected["containment_rate"]
+
+    def test_geometry_scores_only_the_run_entailment_pairs(self, tmp_path):
+        geo, corpus, model = self.geometry_of_untrained_run(
+            tmp_path, {"entailment_pairs": [["text", "image"]]})
+        # text -> image pairs each scene's caption with its own image only
+        with no_grad():
+            batcher = CorpusBatcher(corpus, Tokenizer(model.encoder.text_cfg.max_len), seed=0)
+            emb = model.embed_batch(batcher.gather(np.arange(len(corpus))))
+            kappa = model.manifold.kappa
+            inside = (exterior_angle(emb.text, emb.image, kappa).data
+                      <= half_aperture(emb.text, kappa, LossConfig().cone).data)
+        assert geo["containment_rate"] == inside.mean()
 
     def test_pretrain_steps_zero_writes_init_checkpoint(self, config_path, tmp_path):
         assert main(["pretrain", "--config", config_path, "--out", str(tmp_path),
