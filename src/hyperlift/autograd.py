@@ -225,8 +225,14 @@ def matmul(a, b) -> Tensor:
     else:
         def grad_b(g):
             return np.swapaxes(a.data, -1, -2) @ g
-    return _make(a.data @ b.data, "matmul",
-                 (a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, grad_b))
+    if a.ndim == 2 and a.data.shape[0] == 1:
+        # numpy multiplies a single row by a matrix-vector product, which
+        # rounds differently from the GEMM of a stack of rows. Run it as two
+        # equal rows, so that a row's result does not depend on its batch.
+        out = (np.concatenate([a.data, a.data]) @ b.data)[:1]
+    else:
+        out = a.data @ b.data
+    return _make(out, "matmul", (a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, grad_b))
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -558,6 +564,14 @@ class GradCheckReport:
         return self.max_rel_err < 1e-4
 
 
+def _shifted(data: np.ndarray, idx, step: float) -> np.ndarray:
+    """A copy of `data` with `step` added at `idx`. Parameters are perturbed
+    by swapping in such copies: `Tensor.data` is never written in place."""
+    out = data.copy()
+    out[idx] += step
+    return out
+
+
 def check_gradients(f, params, n_probes=50, h=1e-5, seed=0) -> GradCheckReport:
     """Compare analytic gradients of scalar `f()` against central differences.
 
@@ -591,16 +605,18 @@ def check_gradients(f, params, n_probes=50, h=1e-5, seed=0) -> GradCheckReport:
         name, t = named[k]
         local = int(flat_idx - (offsets[k - 1] if k else 0))
         idx = np.unravel_index(local, t.data.shape)
-        orig = t.data[idx]
+        orig = t.data
         a = float(analytic[name][idx])
         rel_here = None
         for step in steps:
-            with no_grad():
-                t.data[idx] = orig + step
-                f_plus = f().item()
-                t.data[idx] = orig - step
-                f_minus = f().item()
-                t.data[idx] = orig
+            try:
+                with no_grad():
+                    t.data = _shifted(orig, idx, step)
+                    f_plus = f().item()
+                    t.data = _shifted(orig, idx, -step)
+                    f_minus = f().item()
+            finally:
+                t.data = orig
             numeric = (f_plus - f_minus) / (2 * step)
             denom = max(abs(a), abs(numeric))
             rel = 0.0 if denom < 1e-8 else abs(a - numeric) / denom

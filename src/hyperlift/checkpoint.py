@@ -50,8 +50,7 @@ def save_euclidean(model: DualEncoder, path):
 
 
 def save_adapted(model: AdaptedModel, path):
-    extra = {"peft": model.peft.to_dict(), "tau_min": model.tau_min}
-    _write(model.encoder, "adapted", path, extra)
+    _write(model.encoder, "adapted", path, {"peft": model.peft.to_dict()})
 
 
 def _read(path):
@@ -102,6 +101,5 @@ def load_adapted(path) -> AdaptedModel:
     # Rebuilding through the assembler recreates the exact parameter name set
     # (adaptation tensors, manifold scalars, temperature); arrays overwrite it.
     model = assemble_adapted_model(enc, peft, seed=meta["seed"])
-    model.tau_min = meta["tau_min"]
     _restore_store(enc, meta, arrays)
     return model

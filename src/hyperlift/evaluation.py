@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+import weakref
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,7 +16,7 @@ from .autograd import no_grad
 from .data import Tokenizer, VqaItem
 from .manifold import exterior_angle, geodesic_distance, half_aperture, lorentz_radius
 from .objectives import POINT_SETS, LossConfig, pair_rows
-from .peft import AdaptedModel, distinct_rows
+from .peft import AdaptedModel
 from .training import CorpusBatcher
 
 log = logging.getLogger(__name__)
@@ -50,15 +51,46 @@ def form_queries(question: str, candidates: list[str], tokenizer: Tokenizer) -> 
     return queries
 
 
+# The parameters a lifted text point is a function of.
+_TEXT_SIDE = ("text.", "adapt.text.", "manifold.")
+
+# model -> (its text-side arrays, {query row bytes: lifted text point}). An
+# entry holds while every text-side tensor holds the same `.data` object: the
+# optimizer, checkpoint loads and head resets all assign a new array, and
+# nothing writes into one. The entry keeps those arrays alive, so the `is`
+# check cannot be fooled by a reused id.
+_query_points: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cached_points(model: AdaptedModel) -> dict:
+    """The model's cache of lifted query points, emptied first if any
+    text-side parameter array has been replaced since it was filled."""
+    arrays = tuple(t.data for name, t in model.store.items() if name.startswith(_TEXT_SIDE))
+    entry = _query_points.get(model)
+    if (entry is None or len(entry[0]) != len(arrays)
+            or any(old is not new for old, new in zip(entry[0], arrays))):
+        entry = _query_points[model] = (arrays, {})
+    return entry[1]
+
+
 def _candidate_distances(model: AdaptedModel, images, token_batch, lengths) -> np.ndarray:
     """(n_items, 4) geodesic distances between each image and its 4 queries.
-    Each distinct query row is encoded once: VQA sets repeat a few question
-    and answer strings, and rows encode independently of their batch."""
-    firsts, inverse = distinct_rows(np.column_stack([token_batch, lengths]))
+    VQA sets repeat a few question and answer strings, so the lifted point of
+    each distinct query row is kept per model and encoded only the first
+    time it is asked for. Rows encode independently of their batch, so a
+    cached point has the bits of a fresh encode."""
+    points = _cached_points(model)
+    keys = [row.tobytes() for row in np.column_stack([token_batch, lengths])]
+    missing = {}  # distinct uncached row bytes -> its first row
+    for i, key in enumerate(keys):
+        if key not in points:
+            missing.setdefault(key, i)
     with no_grad():
+        if missing:
+            rows = list(missing.values())
+            points.update(zip(missing, model.embed_text(token_batch[rows], lengths[rows]).data))
         img_pts = model.embed_image(images).data                                 # (M, n+1)
-        txt_pts = model.embed_text(token_batch[firsts], lengths[firsts]).data  # (U, n+1)
-        txt = txt_pts[inverse].reshape(img_pts.shape[0], 4, -1)
+        txt = np.stack([points[key] for key in keys]).reshape(img_pts.shape[0], 4, -1)
         return geodesic_distance(img_pts[:, None, :], txt, model.manifold.kappa).data
 
 

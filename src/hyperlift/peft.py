@@ -184,7 +184,7 @@ class AdaptedModel:
     fresh trainable heads and final LayerNorms, manifold scalars, and a
     learnable contrastive temperature (log-space, floored at `tau_min`)."""
 
-    tau_min = 0.01  # `load_adapted` sets the value a checkpoint was saved with
+    tau_min = 0.01
 
     def __init__(self, encoder: DualEncoder, peft: PeftConfig, manifold: ManifoldParams,
                  tau_init: float = 0.07):

@@ -190,6 +190,20 @@ class TestMatmul:
         assert_grad_matches(build, a)
         assert_grad_matches(build, b)
 
+    @pytest.mark.parametrize("n,m", [(64, 64), (64, 256), (256, 64), (64, 32)],
+                             ids=["attn", "fc1", "fc2", "head"])
+    def test_row_bits_do_not_depend_on_row_count(self, n, m):
+        # The encoder weight shapes (d=64). A lone row must round as it does
+        # inside a stack of rows, and a stack must keep numpy's own bits.
+        rng = np.random.default_rng(3)
+        x, w = rng.standard_normal((600, n)), rng.standard_normal((n, m))
+        full = x @ w
+        assert np.array_equal((Tensor(x) @ Tensor(w)).data, full)
+        for rows in (1, 2, 3, 7, 64):
+            assert np.array_equal((Tensor(x[:rows]) @ Tensor(w)).data, full[:rows]), rows
+        for i in range(0, 600, 50):
+            assert np.array_equal((Tensor(x[i:i + 1]) @ Tensor(w)).data, full[i:i + 1]), i
+
     @pytest.mark.parametrize("sa,sb", [((3,), (3, 5)), ((4, 3), (3,)), ((3,), (3,)),
                                        ((2, 3), (4, 5)), ((3, 4), (2, 4, 5)),
                                        ((2, 3, 4), (3, 4, 5)), ((2, 1, 3, 4), (2, 2, 4, 5))],
@@ -431,6 +445,29 @@ class TestCheckGradients:
 
         report = check_gradients(f, dict(store.trainable_items()), n_probes=5)
         assert not report.passed
+
+    def test_perturbs_copies_and_restores_each_array(self):
+        # Probes swap in perturbed copies: read-only parameters work, f sees a
+        # new array object per perturbation, and each original comes back.
+        rng = np.random.default_rng(5)
+        store = ParamStore()
+        store.add("w", rng.standard_normal((3, 4)))
+        store.add("b", rng.standard_normal(4))
+        before = {n: (t.data, t.data.copy()) for n, t in store.items()}
+        for t in store._params.values():
+            t.data.flags.writeable = False
+        seen = []
+
+        def f():
+            seen.append((store["w"].data, store["b"].data))
+            return ag.gelu(store["w"] + store["b"]).sum()
+
+        report = check_gradients(f, dict(store.trainable_items()), n_probes=8, h=(1e-5, 1e-3))
+        assert report.passed, report.worst
+        for name, (arr, copy) in before.items():
+            assert store[name].data is arr
+            assert np.array_equal(arr, copy)
+        assert len({tuple(map(id, pair)) for pair in seen[1:]}) == len(seen) - 1
 
 
 @settings(max_examples=30, deadline=None)

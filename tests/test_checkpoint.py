@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperlift.checkpoint import (
+    _write,
     load_adapted,
     load_euclidean,
     save_adapted,
@@ -68,6 +69,19 @@ class TestAdapted:
         assert loaded.store.no_decay == model.store.no_decay
         assert loaded.peft == model.peft
         assert loaded.tau_min == model.tau_min
+
+    def test_loads_a_checkpoint_that_carries_tau_min(self, tmp_path):
+        # Older checkpoints wrote the class constant `tau_min`; the key is ignored.
+        model = adapted_model(seed=4)
+        path = tmp_path / "old.npz"
+        _write(model.encoder, "adapted", path, {"peft": model.peft.to_dict(), "tau_min": 0.01})
+        loaded = load_adapted(path)
+        assert loaded.tau_min == model.tau_min
+        for name, t in model.store.items():
+            assert np.array_equal(loaded.store[name].data, t.data), name
+        save_adapted(loaded, path)
+        with np.load(path) as blob:
+            assert "tau_min" not in json.loads(bytes(blob["__meta__"]).decode())
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = adapted_model(seed=5, method="seq_adapter")

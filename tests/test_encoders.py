@@ -126,8 +126,6 @@ class TestForward:
         # a row of 10 tokens and at 32 beside one of 19; the 10-token row at 16
         # and at 32. No row's bits may move. Neither 10 nor 19 is a multiple
         # of 4, so a trim to the longest row or to a multiple of 4 shows here.
-        # (Every batch holds several rows: a one-row head is a matrix-vector
-        # product, which rounds differently.)
         rng = np.random.default_rng(7)
         cfg = model.text_cfg
         lengths = [*range(1, 8), 10, 19]

@@ -4,6 +4,9 @@ the scoring machinery, not model quality)."""
 import numpy as np
 import pytest
 
+from hyperlift import evaluation
+from hyperlift.autograd import check_gradients, no_grad
+from hyperlift.checkpoint import load_adapted, save_adapted
 from hyperlift.data import Tokenizer, VqaItem, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.evaluation import (
@@ -13,7 +16,10 @@ from hyperlift.evaluation import (
     geometry_report,
     predict_answer,
 )
+from hyperlift.manifold import geodesic_distance
+from hyperlift.objectives import LossConfig, total_loss
 from hyperlift.peft import PeftConfig, assemble_adapted_model
+from hyperlift.training import CorpusBatcher, TrainConfig, adapt
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +120,8 @@ class TestPrediction:
         # the 6-token queries of the item under test are encoded at width 8,
         # and so are they in `predict_answer`. Both chunks hold the same two
         # images, so that item's distances must keep every bit.
-        # `predict_answer` scores one image, whose head is a matrix-vector
-        # product that rounds otherwise, so against it only the predictions
-        # are compared.
+        # Against `predict_answer`, which returns no distances, the
+        # predictions are compared.
         tok = Tokenizer()
         first, second = generate_vqa(seed=3, n_items=2)
 
@@ -159,6 +164,116 @@ class TestPrediction:
     def test_empty_set_rejected(self, model):
         with pytest.raises(ValueError):
             evaluate([], model)
+
+
+def adapted_with_signal(seed, n_layers=2):
+    """A seq_adapter model whose adapters are non-zero, so every adapted
+    sublayer changes the encoding."""
+    cfg = EncoderConfig(n_layers=n_layers)
+    every = tuple(range(n_layers))
+    peft = PeftConfig(method="seq_adapter", text_layers=every, vision_layers=every)
+    model = assemble_adapted_model(DualEncoder(cfg, cfg, seed=seed), peft, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, t in model.store.items():
+        if name.startswith("adapt."):
+            t.data = 0.05 * rng.standard_normal(t.data.shape)
+    return model
+
+
+def encoded_distances(model, vqa):
+    """Every image and every query row encoded afresh in one batch each."""
+    tok = Tokenizer(model.encoder.text_cfg.max_len)
+    queries = [q for it in vqa for q in form_queries(it.question, it.candidates, tok)]
+    tokens, lengths = tok.pad_batch(queries, width=tok.max_len)
+    with no_grad():
+        img = model.embed_image(np.stack([it.image for it in vqa])).data
+        txt = model.embed_text(tokens, lengths).data.reshape(len(vqa), 4, -1)
+        return geodesic_distance(img[:, None, :], txt, model.manifold.kappa).data
+
+
+def distances(report):
+    return np.array([rec["distances"] for rec in report.per_item])
+
+
+def read_only(model):
+    for _, t in model.store.items():
+        if isinstance(t.data, np.ndarray):  # the optimizer leaves 0-d ones as numpy scalars
+            t.data.flags.writeable = False
+    return model
+
+
+class TestQueryCache:
+    """`evaluate` and `predict_answer` reuse each model's encoded query rows
+    while its text-side parameter arrays stay the same objects."""
+
+    def test_nothing_writes_into_a_parameter_array(self, tmp_path):
+        # The cache's `is` rule holds only if every change to a parameter
+        # assigns a new array, so all of these must run on read-only arrays.
+        model = read_only(adapted_with_signal(seed=1))
+        corpus = generate_corpus(seed=0, n_samples=16, glyph_set_size=8)
+        adapt(corpus, model, TrainConfig(steps=2, batch_size=4, warmup_steps=1, seed=0), LossConfig())
+        path = tmp_path / "adapted.npz"
+        save_adapted(read_only(model), path)
+        loaded = read_only(load_adapted(path))
+        batch = CorpusBatcher(corpus, Tokenizer(), seed=0).gather(np.arange(4))
+        lc = LossConfig()
+        check_gradients(
+            lambda: total_loss(loaded.embed_batch(batch), loaded.tau, loaded.manifold.kappa, lc)[0],
+            dict(loaded.store.trainable_items()), n_probes=4)
+        vqa = generate_vqa(seed=2, n_items=8)
+        report = evaluate(vqa, loaded)
+        tok = Tokenizer()
+        for it, rec in zip(vqa, report.per_item):
+            queries = form_queries(it.question, it.candidates, tok)
+            assert predict_answer(it.image, queries, loaded, tok) == rec["predicted"]
+
+    def test_distances_follow_every_parameter_change(self, tmp_path):
+        model = adapted_with_signal(seed=2)
+        vqa = generate_vqa(seed=6, n_items=24)
+        start = distances(evaluate(vqa, model))
+        assert np.array_equal(start, encoded_distances(model, vqa))
+        path = tmp_path / "start.npz"
+        save_adapted(model, path)
+
+        corpus = generate_corpus(seed=1, n_samples=16, glyph_set_size=8)
+        adapt(corpus, model, TrainConfig(steps=2, batch_size=4, warmup_steps=1, seed=0), LossConfig())
+        trained = distances(evaluate(vqa, model))
+        assert not np.array_equal(trained, start)
+        assert np.array_equal(trained, encoded_distances(model, vqa))
+
+        # A checkpoint load assigns each array, into a new model or this one.
+        loaded = load_adapted(path)
+        assert np.array_equal(distances(evaluate(vqa, loaded)), start)
+        for name, t in loaded.store.items():
+            model.store[name].data = t.data
+        assert np.array_equal(distances(evaluate(vqa, model)), start)
+
+        model.store["manifold.log_kappa"].data = np.array(0.3)
+        assert np.array_equal(distances(evaluate(vqa, model)), encoded_distances(model, vqa))
+        model.store["text.proj"].data = 2 * model.store["text.proj"].data
+        assert np.array_equal(distances(evaluate(vqa, model)), encoded_distances(model, vqa))
+
+    def test_one_item_scores_as_in_a_batch(self, monkeypatch):
+        # Criterion 9 on distances. Two equal models keep separate caches, so
+        # `predict_answer` encodes its own queries and `evaluate` its own.
+        single, batched = adapted_with_signal(seed=3, n_layers=4), adapted_with_signal(seed=3, n_layers=4)
+        vqa = generate_vqa(seed=8, n_items=200)
+        images = np.stack([it.image for it in vqa])
+        with no_grad():
+            rows = batched.embed_image(images).data
+            for image, row in zip(images, rows):
+                assert np.array_equal(single.embed_image(image).data[0], row)
+
+        tok = Tokenizer()
+        scored = []
+        real = evaluation._candidate_distances
+        monkeypatch.setattr(evaluation, "_candidate_distances",
+                            lambda *args: scored.append(real(*args)) or scored[-1])
+        for it in vqa:
+            predict_answer(it.image, form_queries(it.question, it.candidates, tok), single, tok)
+        monkeypatch.undo()
+        report = evaluate(vqa, batched)
+        assert np.array_equal(np.concatenate(scored), distances(report))
 
 
 class TestGeometryReport:

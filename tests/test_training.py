@@ -232,7 +232,7 @@ class TestAdapt:
         corpus = small_corpus(n=32)
         model = self.make_adapted()
         # poison a trainable head so the forward pass goes non-finite
-        model.store["text.proj"].data[:] = np.nan
+        model.store["text.proj"].data = np.full_like(model.store["text.proj"].data, np.nan)
         with pytest.raises(TrainingDiverged) as exc:
             adapt(corpus, model, tiny_train_cfg(steps=3, batch_size=4), LossConfig())
         assert exc.value.step == 0
