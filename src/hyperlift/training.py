@@ -104,14 +104,16 @@ class AdamW:
             if p.grad is None:
                 raise RuntimeError(f"trainable parameter {name!r} has no gradient")
             g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            # arithmetic on 0-d arrays returns numpy scalars; asarray keeps
+            # the 0-d parameters and moments arrays, and copies nothing
+            self.m[name] = np.asarray(b1 * self.m[name] + (1 - b1) * g)
+            self.v[name] = np.asarray(b2 * self.v[name] + (1 - b2) * g * g)
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             update = m_hat / (np.sqrt(v_hat) + eps)
             if name not in self.store.no_decay and self.cfg.weight_decay > 0:
                 update = update + self.cfg.weight_decay * p.data
-            p.data = p.data - lr * update
+            p.data = np.asarray(p.data - lr * update)
 
 
 class MetricsLog:

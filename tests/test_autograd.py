@@ -3,11 +3,18 @@ differences, fused ops against composite references, and the bookkeeping
 rules (broadcasting, freezing, no_grad) against hand constructions.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+import hyperlift
 from hyperlift import autograd as ag
 from hyperlift.autograd import ParamStore, Tensor, check_gradients
 from hyperlift.data import generate_corpus
@@ -415,6 +422,34 @@ class TestParamStore:
         store.add("w", np.ones(2))
         with pytest.raises(KeyError):
             store.add("w", np.ones(2))
+
+
+# Three live (256, 16, 256) float64 arrays, as large as an evaluate call's MLP
+# activations; prints the minor page faults of 5 rounds after a warm-up round.
+_FAULT_ROUNDS = """
+import resource
+import numpy as np
+import hyperlift
+
+def one_round():
+    arrays = [np.ones((256, 16, 256)) for _ in range(3)]
+    del arrays
+
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator settings are glibc's")
+def test_freed_arrays_are_reused_without_page_faults():
+    src = str(Path(hyperlift.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _FAULT_ROUNDS], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert int(out.stdout) < 100
 
 
 class TestCheckGradients:

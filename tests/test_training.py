@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hyperlift import training
 from hyperlift.autograd import ParamStore, Tensor
 from hyperlift.data import Tokenizer, generate_corpus
 from hyperlift.encoders import DualEncoder, EncoderConfig
@@ -227,6 +228,29 @@ class TestAdapt:
             out.append(snapshot(model.store))
         for name in out[0]:
             np.testing.assert_array_equal(out[0][name], out[1][name])
+
+    def test_parameters_and_moments_stay_arrays(self, monkeypatch):
+        # arithmetic on 0-d arrays (log_kappa, log_alpha_*, log_tau) returns
+        # numpy scalars; every parameter must stay an array of its shape
+        optimizers = []
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args):
+                super().__init__(*args)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+        model = self.make_adapted()
+        shapes = {n: t.data.shape for n, t in model.store.items()}
+        assert () in shapes.values()
+        adapt(small_corpus(n=32), model, tiny_train_cfg(steps=2, warmup_steps=1), LossConfig())
+        for name, t in model.store.items():
+            assert type(t.data) is np.ndarray and t.data.shape == shapes[name], name
+        (opt,) = optimizers
+        assert opt.t == 2
+        for moments in (opt.m, opt.v):
+            for name, arr in moments.items():
+                assert type(arr) is np.ndarray and arr.shape == shapes[name], name
 
     def test_divergence_reports_step_and_batch(self):
         corpus = small_corpus(n=32)
