@@ -56,6 +56,8 @@ def save_adapted(model: AdaptedModel, path):
 def _read(path):
     with np.load(path) as blob:
         arrays = {k: blob[k] for k in blob.files}
+    if _META_KEY not in arrays:
+        raise ValueError(f"{path} is not a hyperlift checkpoint: it has no {_META_KEY!r} entry")
     meta = json.loads(bytes(arrays.pop(_META_KEY)).decode())
     if meta["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {meta['format_version']}")

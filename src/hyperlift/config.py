@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import GLYPH_NAMES, IMAGE_SIZE
+from .data import GLYPH_NAMES, IMAGE_SIZE, VOCAB
 from .encoders import EncoderConfig
 from .objectives import LossConfig
 from .peft import ConfigError, PeftConfig
@@ -75,6 +75,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         if train.steps > 0 and train.batch_size > cfg.data.n_samples:
             raise ConfigError(f"in section {name!r}: batch_size {train.batch_size} exceeds "
                               f"data.n_samples {cfg.data.n_samples}")
+    if cfg.text_encoder.vocab_size < len(VOCAB):
+        raise ConfigError(f"in section 'text_encoder': vocab_size {cfg.text_encoder.vocab_size} "
+                          f"is below the tokenizer's {len(VOCAB)} words")
     if cfg.text_encoder.proj_dim != cfg.vision_encoder.proj_dim:
         raise ConfigError("text and vision encoders must share proj_dim")
     if cfg.vision_encoder.image_size != IMAGE_SIZE:

@@ -53,10 +53,6 @@ class Tokenizer:
     def __init__(self, max_len: int = 32):
         self.max_len = max_len
 
-    @property
-    def vocab_size(self) -> int:
-        return len(VOCAB)
-
     def encode(self, text: str, check_len: bool = True) -> list[int]:
         words = text.split()
         if not words:
@@ -251,8 +247,8 @@ def neftune_noise(token_embeddings: Tensor, alpha_noise: float, rng: np.random.G
     L is the batch's token width (`shape[-2]`), not each row's length, so a
     row's noise depends on the longest row in its batch. That is by design:
     NEFTune's reference hook scales by the padded `size(1) * size(2)` too
-    (Jain et al., arXiv:2310.05914). Training-time only; the caller simply
-    skips this at evaluation.
+    (Jain et al., arXiv:2310.05914). `alpha_noise` 0 returns the embeddings
+    as they are and draws nothing.
     """
     if alpha_noise == 0.0:
         return token_embeddings
@@ -269,11 +265,30 @@ def save_jsonl(records, path):
             fh.write(json.dumps(rec.to_record()) + "\n")
 
 
-def load_corpus(path) -> list[CompositionalSample]:
+def _load_jsonl(path, cls) -> list:
+    """The `cls` records of a `save_jsonl` file. A line that is not JSON,
+    lacks a key, or holds a schema version other than SCHEMA_VERSION raises
+    ValueError naming the file and the line."""
+    records = []
     with open(path) as fh:
-        return [CompositionalSample.from_record(json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if rec["v"] != SCHEMA_VERSION:
+                    raise ValueError(f"schema version {rec['v']!r}, expected {SCHEMA_VERSION}")
+                records.append(cls.from_record(rec))
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {lineno}: missing key {exc.args[0]!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return records
+
+
+def load_corpus(path) -> list[CompositionalSample]:
+    return _load_jsonl(path, CompositionalSample)
 
 
 def load_vqa(path) -> list[VqaItem]:
-    with open(path) as fh:
-        return [VqaItem.from_record(json.loads(line)) for line in fh if line.strip()]
+    return _load_jsonl(path, VqaItem)

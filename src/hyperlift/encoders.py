@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParamStore, Tensor
-from .data import neftune_noise
 
 ATTN_MASK_VALUE = -1e9
 
@@ -181,7 +180,7 @@ class DualEncoder:
         normed = ag.layer_normalize(pooled, self.store[f"{pre}.gain"], self.store[f"{pre}.bias"])
         return normed @ self.store[f"{side}.proj"]
 
-    def encode_text(self, tokens, lengths=None, noise_rng=None, neftune_alpha=0.0) -> Tensor:
+    def encode_text(self, tokens, lengths=None, noise=None) -> Tensor:
         """Encode padded token batches to (B, proj_dim) Euclidean vectors.
 
         Pooling takes the representation at the last real token; padding is
@@ -189,7 +188,9 @@ class DualEncoder:
         [1, width]) defaults to the count of non-pad tokens. Columns past
         the longest length are dropped down to the next multiple of 8 (at
         least 8) before encoding, so any wider padding costs nothing and
-        changes no bit of the result. NEFTune noise is drawn at that width.
+        changes no bit of the result. `noise`, if given, maps the token plus
+        position embeddings, (B, L, d_model) at that trimmed width, to their
+        training-time input (NEFTune noise in `training.adapt`).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
@@ -220,8 +221,8 @@ class DualEncoder:
         tokens = tokens[:, :L]
         x = ag.embedding_lookup(self.store["text.tok_emb"], tokens)
         x = x + self.store["text.pos_emb"][:L]
-        if noise_rng is not None and neftune_alpha > 0:
-            x = neftune_noise(x, neftune_alpha, noise_rng)
+        if noise is not None:
+            x = noise(x)
         key_valid = np.arange(L)[None, :] < lengths[:, None]
         mask = np.where(key_valid, 0.0, ATTN_MASK_VALUE)[:, None, None, :]
         for layer in range(cfg.n_layers):

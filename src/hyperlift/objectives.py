@@ -38,12 +38,14 @@ DEFAULT_ENTAILMENT_PAIRS = (
 
 @dataclass
 class LossConfig:
-    """Loss settings. `cone_k` is the entailment cones' `boundary_const`, and
-    `cone` is built from it; `entailment_pairs` lists [parent, child] names
-    of `POINT_SETS`."""
+    """Adaptation loss settings. `neftune_alpha` scales the NEFTune noise on
+    text embeddings (0 turns it off). `cone_k` is the entailment cones'
+    `boundary_const`, and `cone` is built from it; `entailment_pairs` lists
+    [parent, child] names of `POINT_SETS`."""
 
     lambda_entail: float = 0.1
     tau_init: float = 0.07
+    neftune_alpha: float = 0.1
     cone_k: float = 0.1
     entailment_pairs: tuple = DEFAULT_ENTAILMENT_PAIRS
     cone: ConeParams = field(init=False)
@@ -51,6 +53,8 @@ class LossConfig:
     def __post_init__(self):
         if self.lambda_entail < 0:
             raise ValueError("lambda_entail must be non-negative")
+        if self.neftune_alpha < 0:
+            raise ValueError("neftune_alpha must be non-negative")
         if not all(isinstance(v, (int, float)) and v > 0 for v in (self.tau_init, self.cone_k)):
             raise ValueError("tau_init and cone_k must be positive numbers")
         self.cone = ConeParams(boundary_const=float(self.cone_k))

@@ -198,8 +198,8 @@ class AdaptedModel:
     def tau(self) -> Tensor:
         return ag.clamp(ag.exp(self.log_tau), lo=self.tau_min)
 
-    def embed_text(self, tokens, lengths=None, noise_rng=None, neftune_alpha=0.0) -> Tensor:
-        v = self.encoder.encode_text(tokens, lengths, noise_rng=noise_rng, neftune_alpha=neftune_alpha)
+    def embed_text(self, tokens, lengths=None, noise=None) -> Tensor:
+        v = self.encoder.encode_text(tokens, lengths, noise=noise)
         return lift(v, "text", self.manifold)
 
     def embed_image(self, images) -> Tensor:
@@ -218,12 +218,12 @@ class AdaptedModel:
             name.startswith((f"vision.block{layer}.", f"adapt.vision.block{layer}."))
             for name in trainable)), n_layers)
 
-    def embed_batch(self, batch: dict, noise_rng=None, neftune_alpha=0.0,
-                    prefixes=None) -> BatchEmbeddings:
+    def embed_batch(self, batch: dict, noise=None, prefixes=None) -> BatchEmbeddings:
         """Lift the four point sets of a `CorpusBatcher.gather` batch. Each
         distinct image (scene or box) is encoded once and gathered back per
-        row, so the gather's backward sums the gradients of repeats. NEFTune
-        draws in a fixed order: scene captions, then box captions.
+        row, so the gather's backward sums the gradients of repeats. `noise`
+        (see `DualEncoder.encode_text`) is applied in a fixed order: scene
+        captions, then box captions.
 
         `prefixes` (image bytes -> (n_patches, d_model) hidden state) holds
         the frozen vision prefix of each image seen (`vision_prefix_depth`
@@ -242,11 +242,9 @@ class AdaptedModel:
         # Text stays one encode per row: NEFTune noise makes equal captions unequal inputs.
         return BatchEmbeddings(
             image=points[inverse[:n_scenes]],
-            text=self.embed_text(batch["tokens"], batch["lengths"],
-                                 noise_rng=noise_rng, neftune_alpha=neftune_alpha),
+            text=self.embed_text(batch["tokens"], batch["lengths"], noise=noise),
             image_box=points[inverse[n_scenes:]],
-            text_box=self.embed_text(batch["box_tokens"], batch["box_lengths"],
-                                     noise_rng=noise_rng, neftune_alpha=neftune_alpha),
+            text_box=self.embed_text(batch["box_tokens"], batch["box_lengths"], noise=noise),
             box_parent=batch["box_parent"],
         )
 

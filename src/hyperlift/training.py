@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParamStore
-from .data import CompositionalSample, Tokenizer
+from .data import CompositionalSample, Tokenizer, neftune_noise
 from .objectives import LossConfig, symmetric_info_nce, total_loss
 from .peft import AdaptedModel
 
@@ -35,12 +35,11 @@ class TrainConfig:
     betas: tuple = (0.9, 0.98)
     grad_clip: float = 1.0
     seed: int = 0
-    neftune_alpha: float = 0.1
     log_every: int = 50
 
     def __post_init__(self):
-        if min(self.steps, self.warmup_steps) < 0 or self.neftune_alpha < 0:
-            raise ValueError("steps, warmup_steps and neftune_alpha must be >= 0")
+        if min(self.steps, self.warmup_steps) < 0:
+            raise ValueError("steps and warmup_steps must be >= 0")
         if self.steps > 0 and self.warmup_steps >= self.steps:
             raise ValueError("warmup_steps must be < steps")
         if min(self.base_lr, self.weight_decay, self.grad_clip) < 0:
@@ -213,15 +212,19 @@ def pretrain_euclidean(corpus, model, cfg: TrainConfig, metrics_path=None) -> Me
 def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
           metrics_path=None) -> MetricsLog:
     """Hyperbolic adaptation: compositional contrastive + entailment hinge on
-    the PEFT-wrapped model. Frozen tensors are never updated."""
+    the PEFT-wrapped model, with NEFTune noise of `loss_cfg.neftune_alpha` on
+    the text embeddings. Frozen tensors are never updated."""
     noise_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x0E11)))
+
+    def noise(x):
+        return neftune_noise(x, loss_cfg.neftune_alpha, noise_rng)
+
     # Frozen vision prefix per image seen. Only trainable tensors change in
     # this call, so the dict stays valid until it returns, and dies with it.
     prefixes = {}
 
     def loss_fn(batch):
-        emb = model.embed_batch(batch, noise_rng=noise_rng, neftune_alpha=cfg.neftune_alpha,
-                                prefixes=prefixes)
+        emb = model.embed_batch(batch, noise=noise, prefixes=prefixes)
         return total_loss(emb, model.tau, model.manifold.kappa, loss_cfg)
 
     def log_fields():

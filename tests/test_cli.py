@@ -75,6 +75,9 @@ class TestRunConfig:
         ({"pretrain": {"steps": -5}}, "pretrain"),
         ({"adapt": {"steps": 10, "warmup_steps": -1}}, "adapt"),
         ({"adapt": {"neftune_alpha": -0.1}}, "adapt"),
+        ({"pretrain": {"neftune_alpha": 0.1}}, "pretrain"),
+        ({"loss": {"neftune_alpha": -0.1}}, "loss"),
+        ({"text_encoder": {"vocab_size": 16}}, "text_encoder"),
         ({"data": {"n_samples": 8}, "pretrain": {"steps": 3, "batch_size": 16, "warmup_steps": 1}},
          "pretrain"),
         ({"data": {"n_samples": 8}, "pretrain": {"steps": 0},
@@ -109,6 +112,8 @@ class TestRunConfig:
             "data-glyph_set_size_large", "data-n_samples", "data-n_vqa", "seed-not_a_number",
             "init_kappa-not_a_number", "document-not_an_object", "pretrain-steps_negative",
             "adapt-warmup_steps_negative", "adapt-neftune_alpha_negative",
+            "pretrain-neftune_alpha", "loss-neftune_alpha_negative",
+            "text_encoder-vocab_size_below_tokenizer",
             "pretrain-batch_size_above_n_samples", "adapt-batch_size_above_n_samples",
             "loss-not_an_object", "loss-tau_min", "loss-tau_min_large", "loss-tau_min_negative",
             "loss-cone_k_zero", "loss-cone_k_not_a_number", "loss-pairs_not_a_list",
@@ -124,7 +129,7 @@ class TestRunConfig:
 
     def test_zero_steps_is_valid_whatever_the_batch_size(self):
         cfg = run_config_from_dict({"data": {"n_samples": 8},
-                                    "pretrain": {"steps": 0, "warmup_steps": 0, "neftune_alpha": 0},
+                                    "pretrain": {"steps": 0, "warmup_steps": 0},
                                     "adapt": {"steps": 0, "batch_size": 16}})
         assert cfg.pretrain.steps == cfg.adapt.steps == 0
 
@@ -255,6 +260,36 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(tmp_path / "euclidean.npz"),
                      "--vqa", str(tmp_path / "vqa.jsonl"),
                      "--report", str(tmp_path / "rep.json")]) == 3
+
+    @pytest.mark.parametrize("command", ["eval", "adapt"])
+    def test_npz_that_is_not_a_checkpoint_exits_3(self, config_path, tmp_path, capsys, command):
+        path = tmp_path / "other.npz"
+        np.savez(path, weights=np.zeros(3))
+        out = tmp_path / "out"
+        argv = {"eval": ["--vqa", str(tmp_path / "vqa.jsonl"), "--report", str(out / "rep.json")],
+                "adapt": ["--config", config_path, "--out", str(out)]}[command]
+        assert main([command, "--checkpoint", str(path), *argv]) == 3
+        assert "not a hyperlift checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda rec: rec.pop("image"), "line 2: missing key 'image'"),
+        (lambda rec: rec.update(v=2), "line 2: schema version 2"),
+    ], ids=["missing_key", "unknown_version"])
+    def test_malformed_vqa_record_exits_3(self, config_path, tmp_path, capsys, change, message):
+        assert main(["gen-data", "--config", config_path, "--out", str(tmp_path)]) == 0
+        assert main(["pretrain", "--config", config_path, "--out", str(tmp_path),
+                     "--steps", "0"]) == 0
+        assert main(["adapt", "--config", config_path, "--out", str(tmp_path), "--steps", "0",
+                     "--checkpoint", str(tmp_path / "euclidean.npz")]) == 0
+        vqa = tmp_path / "vqa.jsonl"
+        records = [json.loads(line) for line in vqa.read_text().splitlines()]
+        change(records[1])
+        vqa.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["eval", "--checkpoint", str(tmp_path / "adapted.npz"), "--vqa", str(vqa),
+                     "--report", str(tmp_path / "rep.json")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
 
 
 class TestPipeline:

@@ -7,7 +7,7 @@ import pytest
 
 from hyperlift import autograd as ag
 from hyperlift.autograd import Tensor
-from hyperlift.data import PAD_ID, Tokenizer
+from hyperlift.data import PAD_ID, Tokenizer, neftune_noise
 from hyperlift.encoders import DualEncoder, EncoderConfig, trunc_normal
 
 
@@ -160,8 +160,8 @@ class TestForward:
         tokens = np.array([[3, 5, 7]])
         with ag.no_grad():
             clean = model.encode_text(tokens).data
-            noisy = model.encode_text(tokens, noise_rng=np.random.default_rng(0),
-                                      neftune_alpha=0.5).data
+            rng = np.random.default_rng(0)
+            noisy = model.encode_text(tokens, noise=lambda x: neftune_noise(x, 0.5, rng)).data
             clean2 = model.encode_text(tokens).data
         assert not np.array_equal(clean, noisy)
         np.testing.assert_array_equal(clean, clean2)

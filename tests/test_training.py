@@ -229,6 +229,14 @@ class TestAdapt:
         for name in out[0]:
             np.testing.assert_array_equal(out[0][name], out[1][name])
 
+    def test_neftune_noise_reaches_the_loss(self):
+        corpus = small_corpus(n=32)
+        first_losses = []
+        for loss_cfg in (LossConfig(), LossConfig(neftune_alpha=0)):
+            log = adapt(corpus, self.make_adapted(), tiny_train_cfg(steps=1, warmup_steps=0), loss_cfg)
+            first_losses.append(log.records[0]["loss"])
+        assert first_losses[0] != first_losses[1]
+
     def test_parameters_and_moments_stay_arrays(self, monkeypatch):
         # arithmetic on 0-d arrays (log_kappa, log_alpha_*, log_tau) returns
         # numpy scalars; every parameter must stay an array of its shape
