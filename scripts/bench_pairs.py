@@ -6,7 +6,9 @@ paired medians to BENCH_<label>.json.
         --pairs eval-vqa=10 adapt-seq-all=2 adapt-lora-last1=2 pretrain-full=2
 
 `--parent` and `--change` are checkouts that each hold `src/` and
-`perfbench/`. Every run is `python3 perfbench/run.py --workload W --seed S
+`perfbench/`. Each `--pairs` entry must name a workload of the change's
+BENCHMARK.json and at least 2 pairs; a bad entry exits 2 before any run.
+Every run is `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` in its checkout, one at a time. Pair k runs the parent
 first when k is even. Next to the benchmark's end-to-end metrics, each run
 records `ru_minflt`: the minor page faults of that finished run, read through
@@ -97,17 +99,28 @@ def parse_args(argv):
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     args = p.parse_args(argv)
-    args.pairs = {w: int(n) for w, n in (item.split("=") for item in args.pairs)}
-    if any(n < 2 for n in args.pairs.values()):
+    path = args.change / "BENCHMARK.json"
+    try:
+        args.spec = json.loads(path.read_text())
+    except OSError as exc:
+        p.error(f"cannot read {path}: {exc.strerror}")
+    known = [w["name"] for w in args.spec["workloads"]]
+    pairs = {}
+    for item in args.pairs:
+        workload, _, n = item.partition("=")
+        if workload not in known or not n.isdecimal():
+            p.error(f"--pairs {item!r}: expected WORKLOAD=N, with WORKLOAD one of {known}")
+        pairs[workload] = int(n)
+    if any(n < 2 for n in pairs.values()):
         p.error("each workload needs at least 2 pairs")
+    args.pairs = pairs
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in args.spec["end_to_end"]}
     better[FAULTS] = "lower"
     workloads, env = {}, {}
     for workload, n_pairs in args.pairs.items():

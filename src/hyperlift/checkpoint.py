@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -54,8 +55,11 @@ def save_adapted(model: AdaptedModel, path):
 
 
 def _read(path):
-    with np.load(path) as blob:
-        arrays = {k: blob[k] for k in blob.files}
+    try:
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+    except zipfile.BadZipFile as exc:  # e.g. a truncated file
+        raise ValueError(f"{path} is not a readable checkpoint: {exc}") from exc
     if _META_KEY not in arrays:
         raise ValueError(f"{path} is not a hyperlift checkpoint: it has no {_META_KEY!r} entry")
     meta = json.loads(bytes(arrays.pop(_META_KEY)).decode())

@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import json
 import logging
-import weakref
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .autograd import no_grad
 from .data import Tokenizer, VqaItem
-from .manifold import exterior_angle, geodesic_distance, half_aperture, lorentz_radius
-from .objectives import POINT_SETS, LossConfig, pair_rows
+from .manifold import geodesic_distance, lorentz_radius
+from .objectives import POINT_SETS, LossConfig, entailment_violation, pair_rows
 from .peft import AdaptedModel
 from .training import CorpusBatcher
 
@@ -51,46 +50,13 @@ def form_queries(question: str, candidates: list[str], tokenizer: Tokenizer) -> 
     return queries
 
 
-# The parameters a lifted text point is a function of.
-_TEXT_SIDE = ("text.", "adapt.text.", "manifold.")
-
-# model -> (its text-side arrays, {query row bytes: lifted text point}). An
-# entry holds while every text-side tensor holds the same `.data` object: the
-# optimizer, checkpoint loads and head resets all assign a new array, and
-# nothing writes into one. The entry keeps those arrays alive, so the `is`
-# check cannot be fooled by a reused id.
-_query_points: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _cached_points(model: AdaptedModel) -> dict:
-    """The model's cache of lifted query points, emptied first if any
-    text-side parameter array has been replaced since it was filled."""
-    arrays = tuple(t.data for name, t in model.store.items() if name.startswith(_TEXT_SIDE))
-    entry = _query_points.get(model)
-    if (entry is None or len(entry[0]) != len(arrays)
-            or any(old is not new for old, new in zip(entry[0], arrays))):
-        entry = _query_points[model] = (arrays, {})
-    return entry[1]
-
-
 def _candidate_distances(model: AdaptedModel, images, token_batch, lengths) -> np.ndarray:
     """(n_items, 4) geodesic distances between each image and its 4 queries.
-    VQA sets repeat a few question and answer strings, so the lifted point of
-    each distinct query row is kept per model and encoded only the first
-    time it is asked for. Rows encode independently of their batch, so a
-    cached point has the bits of a fresh encode."""
-    points = _cached_points(model)
-    keys = [row.tobytes() for row in np.column_stack([token_batch, lengths])]
-    missing = {}  # distinct uncached row bytes -> its first row
-    for i, key in enumerate(keys):
-        if key not in points:
-            missing.setdefault(key, i)
+    VQA sets repeat a few question and answer strings, so the query points
+    come from the model's memo (`AdaptedModel.text_points`)."""
     with no_grad():
-        if missing:
-            rows = list(missing.values())
-            points.update(zip(missing, model.embed_text(token_batch[rows], lengths[rows]).data))
         img_pts = model.embed_image(images).data                                 # (M, n+1)
-        txt = np.stack([points[key] for key in keys]).reshape(img_pts.shape[0], 4, -1)
+        txt = model.text_points(token_batch, lengths).reshape(img_pts.shape[0], 4, -1)
         return geodesic_distance(img_pts[:, None, :], txt, model.manifold.kappa).data
 
 
@@ -137,7 +103,10 @@ def geometry_report(corpus_sample, model: AdaptedModel, loss: LossConfig | None 
                     batch_size: int = 256) -> dict:
     """Per-category Lorentz radii and the cone-containment rate over the true
     parent/child pairs of the run's entailment relations, with the run's cone
-    (`loss.entailment_pairs` and `loss.cone`; the defaults when `loss` is None)."""
+    (`loss.entailment_pairs` and `loss.cone`; the defaults when `loss` is None).
+    A pair is contained when `entailment_violation` gives it 0; as in
+    training, a pair whose parent sits at the origin is left out (the rate
+    is NaN if every pair is)."""
     if len(corpus_sample) < 1:
         raise ValueError("empty corpus sample")
     loss = loss or LossConfig()
@@ -154,10 +123,10 @@ def geometry_report(corpus_sample, model: AdaptedModel, loss: LossConfig | None 
             for parent_name, child_name in loss.entailment_pairs:
                 ppts, cpts = pair_rows(getattr(emb, parent_name), getattr(emb, child_name),
                                        parent_name, emb.box_parent)
-                ext = exterior_angle(ppts, cpts, kappa).data
-                psi = half_aperture(ppts, kappa, loss.cone).data
-                contained += int((ext <= psi).sum())
-                total += len(ext)
+                hinge = entailment_violation(ppts, cpts, kappa, loss.cone).data
+                if hinge.ndim:  # 0-d when every parent sits at the origin: no pair to count
+                    contained += int((hinge == 0).sum())
+                    total += hinge.size
         report = {"n_samples": len(corpus_sample), "radius": {}, "kappa": kappa.item()}
         for name, chunks in radii.items():
             r = np.concatenate(chunks)
@@ -167,5 +136,5 @@ def geometry_report(corpus_sample, model: AdaptedModel, loss: LossConfig | None 
                 "p50": float(np.percentile(r, 50)),
                 "p75": float(np.percentile(r, 75)),
             }
-        report["containment_rate"] = contained / total
+        report["containment_rate"] = contained / total if total else float("nan")
     return report

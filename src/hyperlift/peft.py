@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import ParamStore, Tensor
 from .encoders import DualEncoder, EncoderConfig, block_shapes, trunc_normal
 from .manifold import ManifoldParams, lift
 from .objectives import BatchEmbeddings
@@ -96,11 +96,12 @@ def last_k_layers(n_layers: int, k: int) -> tuple:
 
 
 class Adaptation:
-    """Runtime hook wired into the encoder's block forward."""
+    """Runtime hook wired into the encoder's block forward. It holds the
+    encoder's parameter store, not the encoder, so the two form no cycle."""
 
-    def __init__(self, config: PeftConfig, model: DualEncoder):
+    def __init__(self, config: PeftConfig, store: ParamStore):
         self.config = config
-        self.model = model
+        self.store = store
         # weight key within its sublayer ("wq", "fc1_w", ...) -> LoRA target
         self._lora_target = ({LORA_SITES[t].split(".")[1]: t for t in config.lora_targets}
                              if config.method == "lora" else {})
@@ -110,20 +111,18 @@ class Adaptation:
         target = self._lora_target.get(key)
         if target is None or layer not in cfg.layers_for(side):
             return base
-        store = self.model.store
-        a = store[f"adapt.{side}.block{layer}.lora_{target}.a"]  # (r, d_in)
-        b = store[f"adapt.{side}.block{layer}.lora_{target}.b"]  # (d_out, r)
+        a = self.store[f"adapt.{side}.block{layer}.lora_{target}.a"]  # (r, d_in)
+        b = self.store[f"adapt.{side}.block{layer}.lora_{target}.b"]  # (d_out, r)
         return base + cfg.lora_scale * ag.transpose(b @ a, (1, 0))
 
     def apply_sublayer(self, side, layer, which, sub_input: Tensor, sub_output: Tensor) -> Tensor:
         cfg = self.config
         if cfg.method not in ("seq_adapter", "par_adapter") or layer not in cfg.layers_for(side):
             return sub_output
-        store = self.model.store
         p = f"adapt.{side}.block{layer}.{which}"
         src = sub_output if cfg.method == "seq_adapter" else sub_input
-        bottleneck = ag.gelu(src @ store[f"{p}.down_w"] + store[f"{p}.down_b"])
-        delta = bottleneck @ store[f"{p}.up_w"] + store[f"{p}.up_b"]
+        bottleneck = ag.gelu(src @ self.store[f"{p}.down_w"] + self.store[f"{p}.down_b"])
+        delta = bottleneck @ self.store[f"{p}.up_w"] + self.store[f"{p}.up_b"]
         return sub_output + delta
 
 
@@ -168,7 +167,7 @@ def wrap_blocks(model: DualEncoder, config: PeftConfig, rng: np.random.Generator
             for suffix, (shape, init) in added.items():
                 data = trunc_normal(rng, shape) if init == "normal" else np.zeros(shape)
                 store.add(f"adapt.{side}.block{layer}.{suffix}", data, no_decay=len(shape) == 1)
-    model.adaptation = Adaptation(config, model)
+    model.adaptation = Adaptation(config, store)
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +192,7 @@ class AdaptedModel:
         self.manifold = manifold
         self.store = encoder.store
         self.log_tau = self.store.add("loss.log_tau", math.log(tau_init), no_decay=True)
+        self._memo = {}  # tag -> (the parameter arrays its rows depend on, {row bytes: row})
 
     @property
     def tau(self) -> Tensor:
@@ -218,23 +218,24 @@ class AdaptedModel:
             name.startswith((f"vision.block{layer}.", f"adapt.vision.block{layer}."))
             for name in trainable)), n_layers)
 
-    def embed_batch(self, batch: dict, noise=None, prefixes=None) -> BatchEmbeddings:
+    def embed_batch(self, batch: dict, noise=None) -> BatchEmbeddings:
         """Lift the four point sets of a `CorpusBatcher.gather` batch. Each
         distinct image (scene or box) is encoded once and gathered back per
         row, so the gather's backward sums the gradients of repeats. `noise`
         (see `DualEncoder.encode_text`) is applied in a fixed order: scene
-        captions, then box captions.
-
-        `prefixes` (image bytes -> (n_patches, d_model) hidden state) holds
-        the frozen vision prefix of each image seen (`vision_prefix_depth`
-        blocks): an image missing from it is run through the prefix once and
-        stored, and only the remaining blocks run per call. The caller owns
-        the dict and must drop it before a tensor of the prefix can change."""
+        captions, then box captions. The frozen vision prefix of each image
+        (`vision_prefix_depth` blocks) comes from the memo, and only the
+        blocks after it run per call."""
         images = np.concatenate([batch["images"], batch["box_images"]])
         firsts, inverse = distinct_rows(images)
-        depth = 0 if prefixes is None else self.vision_prefix_depth()
+        depth = self.vision_prefix_depth()
         if depth:
-            states = self._prefix_states(images[firsts], depth, prefixes)
+            # sizes are checked first, so a wrong-size image cannot match a memo row's bytes
+            images = self.encoder.check_images(images[firsts])
+            frozen = ("vision.patch_", "vision.pos_emb") + tuple(
+                f"{side}vision.block{layer}." for layer in range(depth) for side in ("", "adapt."))
+            states = Tensor(self._memoized("vision", frozen, images,
+                                           lambda rows: self.encoder.vision_prefix(images[rows], depth)))
             points = lift(self.encoder.encode_image_tail(states, depth), "image", self.manifold)
         else:
             points = self.embed_image(images[firsts])
@@ -248,17 +249,35 @@ class AdaptedModel:
             box_parent=batch["box_parent"],
         )
 
-    def _prefix_states(self, images, depth: int, prefixes: dict) -> Tensor:
-        """The stacked prefix hidden states of `images`, computing only those
-        missing from `prefixes`. Sizes are checked before any lookup, so a
-        wrong-size image cannot match a cached one's bytes."""
-        images = self.encoder.check_images(images)
-        keys = [image.tobytes() for image in images]
-        missing = [i for i, key in enumerate(keys) if key not in prefixes]
+    def text_points(self, tokens, lengths) -> np.ndarray:
+        """The lifted points of padded token rows, as an array, with each
+        distinct row (its tokens and length) encoded once per model. Rows
+        encode independently of their batch, so a memo row has the bits of
+        a fresh encode."""
+        tokens, lengths = np.asarray(tokens), np.asarray(lengths)
+        return self._memoized("text", ("text.", "adapt.text.", "manifold."),
+                              np.column_stack([tokens, lengths]),
+                              lambda rows: self.embed_text(tokens[rows], lengths[rows]))
+
+    def _memoized(self, tag: str, depends_on: tuple, inputs: np.ndarray, compute) -> np.ndarray:
+        """`compute`'s output row for each row of `inputs` (by bytes), stacked;
+        `compute(rows)` runs only on the distinct rows missing from the memo
+        of `tag`. That memo is valid while every parameter whose name starts
+        with `depends_on` holds the same `.data` object: nothing writes into
+        one, and the memo keeps them alive, so no id is reused."""
+        arrays = tuple(t.data for name, t in self.store.items() if name.startswith(depends_on))
+        held, rows = self._memo.get(tag, (None, None))
+        if held is None or len(held) != len(arrays) or any(a is not b for a, b in zip(held, arrays)):
+            held, rows = self._memo[tag] = (arrays, {})
+        keys = [row.tobytes() for row in inputs]
+        missing = {}  # distinct row bytes not in the memo -> its first row
+        for i, key in enumerate(keys):
+            if key not in rows:
+                missing.setdefault(key, i)
         if missing:
-            states = self.encoder.vision_prefix(images[missing], depth).data
-            prefixes.update(zip((keys[i] for i in missing), states))
-        return Tensor(np.stack([prefixes[key] for key in keys]))
+            with ag.no_grad():
+                rows.update(zip(missing, compute(list(missing.values())).data))
+        return np.stack([rows[key] for key in keys])
 
 
 def assemble_adapted_model(encoder: DualEncoder, peft: PeftConfig, seed: int = 0,

@@ -219,12 +219,8 @@ def adapt(corpus, model: AdaptedModel, cfg: TrainConfig, loss_cfg: LossConfig,
     def noise(x):
         return neftune_noise(x, loss_cfg.neftune_alpha, noise_rng)
 
-    # Frozen vision prefix per image seen. Only trainable tensors change in
-    # this call, so the dict stays valid until it returns, and dies with it.
-    prefixes = {}
-
     def loss_fn(batch):
-        emb = model.embed_batch(batch, noise=noise, prefixes=prefixes)
+        emb = model.embed_batch(batch, noise=noise)
         return total_loss(emb, model.tau, model.manifold.kappa, loss_cfg)
 
     def log_fields():

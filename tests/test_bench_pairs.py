@@ -36,3 +36,34 @@ def test_quality_is_one_value_only_when_every_run_repeats_it():
     out = bench_pairs.summarise(same, differ, {"items_per_s": "higher"})
     assert out["quality"] == {"parent": {"vqa_accuracy": 0.25},
                               "change": {"vqa_accuracy": [0.25, 0.5]}}
+
+
+REPO = _PATH.parent.parent
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (["eval-vqa"], "expected WORKLOAD=N"),
+    (["evalvqa=2"], "expected WORKLOAD=N"),
+    (["eval-vqa=two"], "expected WORKLOAD=N"),
+    (["eval-vqa=-3"], "expected WORKLOAD=N"),
+    (["eval-vqa=1"], "at least 2 pairs"),
+    (["adapt-seq-all=2", "evalvqa=2"], "'evalvqa=2'"),
+], ids=["no-count", "unknown-workload", "word-count", "negative-count", "one-pair",
+        "second-entry-bad"])
+def test_bad_pairs_exit_2_before_any_run(pairs, message, monkeypatch, tmp_path, capsys):
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(REPO), "--change", str(REPO), "--label", "x", "--what", "x",
+                          "--seed", "1", "--seconds", "1", "--pairs", *pairs])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not runs and not list(tmp_path.iterdir())
+
+
+def test_pairs_parse_to_counts_per_workload():
+    args = bench_pairs.parse_args(["--parent", ".", "--change", str(REPO), "--label", "x", "--what", "x",
+                                   "--seed", "1", "--seconds", "1",
+                                   "--pairs", "eval-vqa=3", "adapt-lora-last1=2"])
+    assert args.pairs == {"eval-vqa": 3, "adapt-lora-last1": 2}

@@ -272,6 +272,19 @@ class TestExitCodes:
         assert "not a hyperlift checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "adapt"])
+    def test_truncated_checkpoint_exits_3(self, config_path, tmp_path, capsys, command):
+        assert main(["pretrain", "--config", config_path, "--out", str(tmp_path),
+                     "--steps", "0"]) == 0
+        path = tmp_path / "truncated.npz"
+        path.write_bytes((tmp_path / "euclidean.npz").read_bytes()[:20000])
+        out = tmp_path / "out"
+        argv = {"eval": ["--vqa", str(tmp_path / "vqa.jsonl"), "--report", str(out / "rep.json")],
+                "adapt": ["--config", config_path, "--out", str(out)]}[command]
+        assert main([command, "--checkpoint", str(path), *argv]) == 3
+        assert f"{path} is not a readable checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("change, message", [
         (lambda rec: rec.pop("image"), "line 2: missing key 'image'"),
         (lambda rec: rec.update(v=2), "line 2: schema version 2"),

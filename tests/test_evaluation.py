@@ -297,6 +297,20 @@ class TestGeometryReport:
             np.testing.assert_allclose(a["radius"][cat]["mean"],
                                        b["radius"][cat]["mean"], rtol=1e-9)
 
+    def test_parent_at_the_origin_is_left_out(self, caplog):
+        # A zero text head puts every text and text-box point at the origin,
+        # so only the image_box -> image pairs keep a cone to score.
+        model = assemble_adapted_model(DualEncoder(EncoderConfig(), EncoderConfig(), seed=0),
+                                       PeftConfig(method="bias"), seed=0)
+        model.store["text.proj"].data = np.zeros_like(model.store["text.proj"].data)
+        corpus = generate_corpus(seed=3, n_samples=12)
+        rep = geometry_report(corpus, model)
+        assert "at origin" in caplog.text
+        boxes_only = geometry_report(corpus, model, LossConfig(entailment_pairs=[["image_box", "image"]]))
+        assert rep["containment_rate"] == boxes_only["containment_rate"]
+        text_only = LossConfig(entailment_pairs=[["text", "image"], ["text_box", "text"]])
+        assert np.isnan(geometry_report(corpus, model, text_only)["containment_rate"])
+
     def test_empty_sample_rejected(self, model):
         with pytest.raises(ValueError):
             geometry_report([], model)

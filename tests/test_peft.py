@@ -1,6 +1,9 @@
 """Adaptation-method tests: identity at init, trainable-set accounting,
 freezing, and the analytic parameter counter against runtime enumeration."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -288,3 +291,20 @@ class TestEmbedBatch:
         emb, ref = model.embed_batch(batch), self.per_row(model, batch)
         for name in ("image", "text", "image_box", "text_box"):
             assert np.array_equal(getattr(emb, name).data, getattr(ref, name).data), name
+
+
+def test_wrapped_encoder_is_freed_without_the_cycle_collector():
+    # The adaptation hook holds the store, not the encoder that holds the hook,
+    # so reference counting alone frees a wrapped encoder and its memo.
+    encoder = toy_model()
+    model = assemble_adapted_model(encoder, peft_for("lora", vision_layers=(3,), text_layers=(3,)), seed=0)
+    batch = CorpusBatcher(generate_corpus(seed=3, n_samples=8), Tokenizer(), seed=0).gather(np.arange(4))
+    model.embed_batch(batch)
+    assert model._memo
+    freed = weakref.ref(encoder)
+    gc.disable()
+    try:
+        del encoder, model
+        assert freed() is None
+    finally:
+        gc.enable()

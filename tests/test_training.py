@@ -316,9 +316,9 @@ class TestAdapt:
 
 
 class TestVisionPrefixCache:
-    """`adapt` runs the frozen vision prefix once per distinct image and keeps
-    it for the run; every loss and parameter must equal those of running the
-    whole vision encoder on every step (prefix depth 0)."""
+    """`embed_batch` runs the frozen vision prefix once per distinct image and
+    keeps it in the model's memo; every loss and parameter must equal those of
+    running the whole vision encoder on every step (prefix depth 0)."""
 
     PEFTS = [
         pytest.param(PeftConfig(method="lora", text_layers=(3,), vision_layers=(3,)), 3, id="lora-last1"),
@@ -333,60 +333,90 @@ class TestVisionPrefixCache:
         cfg = EncoderConfig()
         return assemble_adapted_model(DualEncoder(cfg, cfg, seed=1), peft, seed=1)
 
+    @staticmethod
+    def spy_prefix(monkeypatch):
+        """Record the depth and row count of each `vision_prefix` call."""
+        calls, vision_prefix = [], DualEncoder.vision_prefix
+
+        def spy(self, images, depth):
+            calls.append((depth, len(images)))
+            return vision_prefix(self, images, depth)
+
+        monkeypatch.setattr(DualEncoder, "vision_prefix", spy)
+        return calls
+
     def run(self, peft, monkeypatch):
         """Adapt for a few steps; returns the model, its metrics records, the
-        prefix dicts `embed_batch` received, the bytes of every image the
-        batches held, and the depth and row count of each `vision_prefix` call."""
+        bytes of every image the batches held, and the depth and row count of
+        each `vision_prefix` call."""
         model = self.make_adapted(peft)
-        dicts, seen, prefix_calls = [], set(), []
-        embed_batch, vision_prefix = AdaptedModel.embed_batch, DualEncoder.vision_prefix
+        seen = set()
+        embed_batch = AdaptedModel.embed_batch
 
         def spy_embed(self, batch, **kwargs):
-            dicts.append(kwargs["prefixes"])
             seen.update(image.tobytes() for key in ("images", "box_images") for image in batch[key])
             return embed_batch(self, batch, **kwargs)
 
-        def spy_prefix(self, images, depth):
-            prefix_calls.append((depth, len(images)))
-            return vision_prefix(self, images, depth)
-
         with monkeypatch.context() as m:
             m.setattr(AdaptedModel, "embed_batch", spy_embed)
-            m.setattr(DualEncoder, "vision_prefix", spy_prefix)
+            prefix_calls = self.spy_prefix(m)
             log = adapt(small_corpus(n=16), model, tiny_train_cfg(steps=5, seed=1), LossConfig())
-        return model, log.records, dicts, seen, prefix_calls
+        return model, log.records, seen, prefix_calls
 
     @pytest.mark.parametrize("peft, depth", PEFTS)
     def test_bit_identical_to_the_full_forward(self, peft, depth, monkeypatch):
-        model, records, dicts, seen, prefix_calls = self.run(peft, monkeypatch)
+        model, records, seen, prefix_calls = self.run(peft, monkeypatch)
         assert model.vision_prefix_depth() == depth
         with monkeypatch.context() as m:
             m.setattr(AdaptedModel, "vision_prefix_depth", lambda self: 0)
-            ref_model, ref_records, ref_dicts, _, _ = self.run(peft, monkeypatch)
+            ref_model, ref_records, _, _ = self.run(peft, monkeypatch)
         assert records == ref_records
         for name, t in ref_model.store.items():
             assert np.array_equal(model.store[name].data, t.data), name
-        # One dict per run, one (n_patches, d_model) entry per distinct image.
-        assert len({id(d) for d in dicts}) == 1 and len(dicts) == 5
-        prefixes = dicts[0]
+        assert "vision" not in ref_model._memo
         if depth:
-            assert prefixes.keys() == seen
-            assert all(state.shape == (16, 64) for state in prefixes.values())
+            # One memo for the run, one (n_patches, d_model) row per distinct image.
+            arrays, rows = model._memo["vision"]
+            assert rows.keys() == seen
+            assert all(state.shape == (16, 64) for state in rows.values())
             # Each image went through the prefix once, on the step that first drew it.
             assert {d for d, _ in prefix_calls} == {depth}
             assert sum(n for _, n in prefix_calls) == len(seen)
+            # It depends on the patch embedding and every prefix block, not on block `depth`.
+            held = {id(a) for a in arrays}
+            assert id(model.store["vision.patch_emb"].data) in held
+            assert id(model.store[f"vision.block{depth - 1}.mlp.fc2_w"].data) in held
+            if depth < 4:
+                assert id(model.store[f"vision.block{depth}.mlp.fc2_w"].data) not in held
         else:
-            assert not prefixes
-        assert not ref_dicts[0]
+            assert "vision" not in model._memo
 
     def test_wrong_size_image_raises_before_any_lookup(self):
         model = self.make_adapted(PeftConfig(method="lora", text_layers=(3,), vision_layers=(3,)))
         batch = CorpusBatcher(small_corpus(n=8), Tokenizer(), seed=0).gather(np.arange(4))
-        prefixes = {}
-        model.embed_batch(batch, prefixes=prefixes)
-        assert prefixes
-        # Same bytes in another shape: every row would match a cached key.
+        model.embed_batch(batch)
+        rows = dict(model._memo["vision"][1])
+        assert rows
+        # Same bytes in another shape: every row would match a memo key.
         bad = dict(batch, images=batch["images"].reshape(4, 8, 32),
                    box_images=batch["box_images"].reshape(-1, 8, 32))
         with pytest.raises(ValueError, match="shape"):
-            model.embed_batch(bad, prefixes=prefixes)
+            model.embed_batch(bad)
+        assert model._memo["vision"][1] == rows
+
+    def test_replacing_a_prefix_block_recomputes(self, monkeypatch):
+        model = self.make_adapted(PeftConfig(method="lora", text_layers=(3,), vision_layers=(3,)))
+        batch = CorpusBatcher(small_corpus(n=8), Tokenizer(), seed=0).gather(np.arange(4))
+        first = model.embed_batch(batch)
+        weight = model.store["vision.block1.mlp.fc1_w"]
+        weight.data = weight.data * 1.5
+        with monkeypatch.context() as m:
+            calls = self.spy_prefix(m)
+            emb = model.embed_batch(batch)
+            m.setattr(AdaptedModel, "vision_prefix_depth", lambda self: 0)
+            ref = model.embed_batch(batch)
+        n_distinct = len({image.tobytes() for key in ("images", "box_images") for image in batch[key]})
+        assert calls == [(3, n_distinct), (0, n_distinct)]
+        assert not np.array_equal(emb.image.data, first.image.data)
+        for name in ("image", "image_box"):
+            assert np.array_equal(getattr(emb, name).data, getattr(ref, name).data), name
