@@ -236,6 +236,22 @@ def div(a, b) -> Tensor:
                  (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
+def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a @ w` for numpy arrays, always through the GEMM of a stack of rows:
+    a lone (1, n) row runs as two equal rows and one is kept. numpy would
+    multiply a single row by a matrix-vector product, which rounds
+    differently, so a row's result would depend on its batch."""
+    if a.ndim == 2 and a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ w)[:1]
+    return a @ w
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the matrix in `a @ w`: it sums over every row of the
+    stack, so one flat GEMM."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
     """`a @ b` in the two forms the encoders use: a stack of rows (..., n)
     against a matrix (n, m), or two stacks with equal batch shapes. 1-d
@@ -245,21 +261,30 @@ def matmul(a, b) -> Tensor:
             or (b.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2])):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     if b.ndim == 2:
-        # The matrix's gradient sums over every row of the stack: one flat GEMM.
         def grad_b(g):
-            d_in, d_out = b.data.shape
-            return a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+            return _weight_grad(a.data, g)
     else:
         def grad_b(g):
             return np.swapaxes(a.data, -1, -2) @ g
-    if a.ndim == 2 and a.data.shape[0] == 1:
-        # numpy multiplies a single row by a matrix-vector product, which
-        # rounds differently from the GEMM of a stack of rows. Run it as two
-        # equal rows, so that a row's result does not depend on its batch.
-        out = (np.concatenate([a.data, a.data]) @ b.data)[:1]
-    else:
-        out = a.data @ b.data
-    return _make(out, "matmul", (a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, grad_b))
+    return _make(_gemm(a.data, b.data), "matmul",
+                 (a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, grad_b))
+
+
+def linear(x, w, b) -> Tensor:
+    """The affine map `x @ w + b` of a stack of rows (..., n), a matrix
+    (n, m) and a bias (m,), as one node. The product is computed as `matmul`
+    computes it and the bias is added into it in place, so the graph keeps
+    no pre-bias array; the bits are those of `matmul` then `add`."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (x.ndim < 2 or w.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    out = _gemm(x.data, w.data)
+    out += b.data
+    return _make(out, "linear",
+                 (x, lambda g: g @ w.data.T),
+                 (w, lambda g: _weight_grad(x.data, g)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -427,11 +452,29 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a) -> Tensor:
+    """x * Phi(x) with the exact (erf) normal CDF. Temporaries are built in
+    place (ufunc `out=`) with the operations of the closed forms in their
+    order, so the bits are those of the plain expressions."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return _make(x * cdf, "gelu",
-                 (a, lambda g: g * (cdf + x * _INV_SQRT2PI * np.exp(-0.5 * x * x))))
+    # 0.5 * (1 + erf(x / sqrt(2)))
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+
+    def grad(g):
+        # g * (cdf + x / sqrt(2 pi) * exp(-0.5 * x * x))
+        d = np.multiply(x, -0.5, out=np.empty_like(x))
+        d *= x
+        np.exp(d, out=d)
+        u = np.multiply(x, _INV_SQRT2PI, out=np.empty_like(x))
+        u *= d
+        u += cdf
+        u *= g
+        return u
+
+    return _make(x * cdf, "gelu", (a, grad))
 
 
 def softmax(a, axis=-1) -> Tensor:

@@ -147,20 +147,21 @@ class DualEncoder:
 
         sb = self.store
         pre = f"{side}.block{layer}.attn"
-        q = heads(x @ self._weight(side, layer, "attn", "wq") + sb[f"{pre}.bq"])
-        k = heads(x @ self._weight(side, layer, "attn", "wk") + sb[f"{pre}.bk"])
-        v = heads(x @ self._weight(side, layer, "attn", "wv") + sb[f"{pre}.bv"])
+        q = heads(ag.linear(x, self._weight(side, layer, "attn", "wq"), sb[f"{pre}.bq"]))
+        k = heads(ag.linear(x, self._weight(side, layer, "attn", "wk"), sb[f"{pre}.bk"]))
+        v = heads(ag.linear(x, self._weight(side, layer, "attn", "wv"), sb[f"{pre}.bv"]))
         scores = (q @ ag.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
         if mask is not None:
             scores = scores + mask
         attn = ag.softmax(scores, axis=-1)
         out = ag.reshape(ag.transpose(attn @ v, (0, 2, 1, 3)), (B, L, d))
-        return out @ self._weight(side, layer, "attn", "wo") + sb[f"{pre}.bo"]
+        return ag.linear(out, self._weight(side, layer, "attn", "wo"), sb[f"{pre}.bo"])
 
     def _mlp(self, x, side, layer):
         pre = f"{side}.block{layer}.mlp"
-        hidden = ag.gelu(x @ self._weight(side, layer, "mlp", "fc1_w") + self.store[f"{pre}.fc1_b"])
-        return hidden @ self._weight(side, layer, "mlp", "fc2_w") + self.store[f"{pre}.fc2_b"]
+        hidden = ag.gelu(ag.linear(x, self._weight(side, layer, "mlp", "fc1_w"),
+                                   self.store[f"{pre}.fc1_b"]))
+        return ag.linear(hidden, self._weight(side, layer, "mlp", "fc2_w"), self.store[f"{pre}.fc2_b"])
 
     def _block(self, x, side, layer, mask):
         ad = self.adaptation
@@ -254,7 +255,7 @@ class DualEncoder:
             .transpose(0, 1, 3, 2, 4)
             .reshape(B, cfg.n_patches, cfg.patch_dim)
         )
-        x = Tensor(patches) @ self.store["vision.patch_emb"] + self.store["vision.patch_bias"]
+        x = ag.linear(patches, self.store["vision.patch_emb"], self.store["vision.patch_bias"])
         x = x + self.store["vision.pos_emb"]
         for layer in range(depth):
             x = self._block(x, "vision", layer, None)

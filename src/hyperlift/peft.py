@@ -121,8 +121,8 @@ class Adaptation:
             return sub_output
         p = f"adapt.{side}.block{layer}.{which}"
         src = sub_output if cfg.method == "seq_adapter" else sub_input
-        bottleneck = ag.gelu(src @ self.store[f"{p}.down_w"] + self.store[f"{p}.down_b"])
-        delta = bottleneck @ self.store[f"{p}.up_w"] + self.store[f"{p}.up_b"]
+        bottleneck = ag.gelu(ag.linear(src, self.store[f"{p}.down_w"], self.store[f"{p}.down_b"]))
+        delta = ag.linear(bottleneck, self.store[f"{p}.up_w"], self.store[f"{p}.up_b"])
         return sub_output + delta
 
 

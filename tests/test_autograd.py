@@ -3,6 +3,7 @@ differences, fused ops against composite references, and the bookkeeping
 rules (broadcasting, freezing, no_grad) against hand constructions.
 """
 
+import math
 import os
 import platform
 import subprocess
@@ -104,6 +105,28 @@ class TestElementwiseOps:
         out = ag.gelu(Tensor(x)).data
         ref = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
         np.testing.assert_allclose(out, ref, rtol=1e-14)
+
+    def test_gelu_in_place_temporaries_keep_the_closed_form_bits(self):
+        # The closed forms as plain expressions, each step a fresh array.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 16, 256)) * 3.0
+        x[0, 0, :8] = [0.0, -0.0, 8.5, -8.5, 12.0, -12.0, 40.0, -40.0]
+        x[1, ::2] = 0.0
+        inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+        cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
+        g = rng.standard_normal(x.shape)
+        ref_out = x * cdf
+        ref_grad = g * (cdf + x * inv_sqrt2pi * np.exp(-0.5 * x * x))
+
+        a = leaf(x.copy())
+        out = ag.gelu(a)
+        upstream = g.copy()
+        out._backward(upstream)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(a.grad, ref_grad)
+        # No operand is written: the input and the upstream gradient stay put.
+        assert np.array_equal(a.data, x)
+        assert np.array_equal(upstream, g)
 
 
 class TestClamp:
@@ -220,6 +243,39 @@ class TestMatmul:
         # 1-d operands and broadcast batch axes have no gradient path
         with pytest.raises(ValueError):
             Tensor(np.ones(sa)) @ leaf(np.ones(sb))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("sx", [(6, 5), (3, 6, 5), (1, 5)], ids=["2d", "3d", "row"])
+    def test_bits_equal_matmul_then_add(self, sx):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal(sx), rng.standard_normal((5, 4)), rng.standard_normal(4)
+        u = Tensor(rng.standard_normal(sx[:-1] + (4,)))
+        fused, plain = [leaf(d) for d in data], [leaf(d) for d in data]
+        out = ag.linear(*fused)
+        ref = ag.add(ag.matmul(plain[0], plain[1]), plain[2])
+        assert np.array_equal(out.data, ref.data)
+        (out * u).sum().backward()
+        (ref * u).sum().backward()
+        for f, p in zip(fused, plain):
+            assert np.array_equal(f.grad, p.grad)
+
+    def test_check_gradients(self):
+        rng = np.random.default_rng(14)
+        params = {"x": leaf(rng.standard_normal((2, 3, 5))), "w": leaf(rng.standard_normal((5, 4))),
+                  "b": leaf(rng.standard_normal(4))}
+        u = Tensor(rng.standard_normal((2, 3, 4)))
+        report = check_gradients(lambda: (ag.linear(params["x"], params["w"], params["b"]) * u).sum(),
+                                 params, n_probes=40)
+        assert report.passed, report.worst
+
+    @pytest.mark.parametrize("sx,sw,sb", [((3, 5), (4, 2), (2,)), ((3, 5), (5, 2), (3,)),
+                                          ((3, 5), (5, 2), (1, 2)), ((5,), (5, 2), (2,)),
+                                          ((2, 3, 5), (2, 5, 2), (2,))],
+                             ids=["inner", "bias-length", "bias-2d", "1d-input", "3d-weight"])
+    def test_shape_mismatch_raises(self, sx, sw, sb):
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            ag.linear(leaf(np.ones(sx)), leaf(np.ones(sw)), leaf(np.ones(sb)))
 
 
 class TestFusedOps:
@@ -355,6 +411,12 @@ FROZEN_OPERAND_CASES = {
         frozen((3, 6), r), leaf(r.standard_normal(6)), leaf(r.standard_normal(6))),
     "layer_normalize-gain": lambda r: ag.layer_normalize(
         leaf(r.standard_normal((3, 6))), frozen((6,), r), leaf(r.standard_normal(6))),
+    "linear-x": lambda r: ag.linear(
+        frozen((2, 4, 3), r), leaf(r.standard_normal((3, 5))), leaf(r.standard_normal(5))),
+    "linear-w": lambda r: ag.linear(
+        leaf(r.standard_normal((4, 3))), frozen((3, 5), r), leaf(r.standard_normal(5))),
+    "linear-bias": lambda r: ag.linear(
+        leaf(r.standard_normal((2, 4, 3))), leaf(r.standard_normal((3, 5))), frozen((5,), r)),
     "concat": lambda r: ag.concat([leaf(r.standard_normal((2, 2))), frozen((2, 3), r)], axis=1),
 }
 

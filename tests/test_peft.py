@@ -1,14 +1,16 @@
 """Adaptation-method tests: identity at init, trainable-set accounting,
 freezing, and the analytic parameter counter against runtime enumeration."""
 
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlift import autograd as ag
-from hyperlift.data import Tokenizer, generate_corpus
+from hyperlift.data import Tokenizer, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.objectives import BatchEmbeddings, LossConfig, total_loss
 from hyperlift.peft import (
@@ -308,3 +310,68 @@ def test_wrapped_encoder_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+# A pool of rows for the batch-independence property: VQA images, and token
+# rows of every length up to the context, padded with PAD (0).
+ROW_POOL = 96
+MAX_BATCH = 64
+
+
+@functools.cache
+def model_with_signal(method):
+    """Every method on every layer, with each trainable tensor moved off its
+    initial value, so LoRA's zero B and the adapters' zero up-projection do
+    not make the adapted path an exact identity."""
+    model = assemble_adapted_model(toy_model(seed=4), peft_for(method), seed=4)
+    rng = np.random.default_rng(4)
+    for name, t in model.store.trainable_items():
+        if t.data.ndim:
+            t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
+    return model
+
+
+@functools.cache
+def row_pool():
+    cfg = EncoderConfig()
+    rng = np.random.default_rng(11)
+    images = np.stack([it.image for it in generate_vqa(seed=11, n_items=ROW_POOL)])
+    lengths = rng.integers(1, cfg.max_len + 1, size=ROW_POOL)
+    tokens = rng.integers(1, cfg.vocab_size, size=(ROW_POOL, cfg.max_len))
+    tokens[np.arange(cfg.max_len) >= lengths[:, None]] = 0
+    return images, tokens, lengths
+
+
+@functools.cache
+def lone_image(method, i):
+    images = row_pool()[0]
+    with ag.no_grad():
+        return model_with_signal(method).embed_image(images[i]).data[0]
+
+
+@functools.cache
+def lone_text(method, row: bytes, length: int):
+    tokens = np.frombuffer(row, dtype=np.int64)[None, :]
+    with ag.no_grad():
+        return model_with_signal(method).embed_text(tokens, np.array([length])).data[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PEFT_METHODS), st.integers(1, MAX_BATCH), st.integers(0, ROW_POOL - MAX_BATCH),
+       st.sampled_from(range(8, EncoderConfig().max_len + 1, 8)))
+def test_each_row_encodes_as_on_its_own(method, n, offset, width):
+    # The memo stores each row as computed in whatever batch first met it,
+    # and criterion 9 compares batched and one-at-a-time scores; both rest
+    # on a row's bits not depending on its batch. Rows are cut to `width`
+    # columns (lengths capped there), so the trim to a multiple of 8 varies.
+    images, tokens, lengths = row_pool()
+    rows = slice(offset, offset + n)
+    lengths = np.minimum(lengths[rows], width)
+    tokens = np.where(np.arange(width) < lengths[:, None], tokens[rows, :width], 0)
+    model = model_with_signal(method)
+    with ag.no_grad():
+        img = model.embed_image(images[rows]).data
+        txt = model.embed_text(tokens, lengths).data
+    for k in range(n):
+        assert np.array_equal(img[k], lone_image(method, offset + k)), ("image", k)
+        assert np.array_equal(txt[k], lone_text(method, tokens[k].tobytes(), int(lengths[k]))), ("text", k)
