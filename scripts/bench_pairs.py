@@ -7,7 +7,8 @@ paired medians to BENCH_<label>.json.
 
 `--parent` and `--change` are checkouts that each hold `src/` and
 `perfbench/`. Each `--pairs` entry must name a workload of the change's
-BENCHMARK.json and at least 2 pairs; a bad entry exits 2 before any run.
+BENCHMARK.json, no workload twice, and at least 2 pairs; a bad entry exits 2
+before any run.
 Every run is `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` in its checkout, one at a time. Pair k runs the parent
 first when k is even. Next to the benchmark's end-to-end metrics, each run
@@ -110,6 +111,8 @@ def parse_args(argv):
         workload, _, n = item.partition("=")
         if workload not in known or not n.isdecimal():
             p.error(f"--pairs {item!r}: expected WORKLOAD=N, with WORKLOAD one of {known}")
+        if workload in pairs:
+            p.error(f"--pairs names {workload} twice")
         pairs[workload] = int(n)
     if any(n < 2 for n in pairs.values()):
         p.error("each workload needs at least 2 pairs")

@@ -589,12 +589,6 @@ class ParamStore:
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __iter__(self):
-        return iter(self._params)
-
     def names(self):
         return list(self._params)
 
@@ -604,9 +598,6 @@ class ParamStore:
     @property
     def trainable(self) -> set[str]:
         return {n for n, t in self._params.items() if t.requires_grad}
-
-    def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     def set_trainable(self, name, flag: bool):
         self._params[name].requires_grad = flag
@@ -618,9 +609,6 @@ class ParamStore:
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None
-
-    def n_trainable(self) -> int:
-        return sum(t.data.size for _, t in self.trainable_items())
 
 
 @dataclass

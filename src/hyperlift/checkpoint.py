@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,8 +27,8 @@ def _write(model: DualEncoder, kind: str, path, extra=None):
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "seed": model.seed,
-        "text_cfg": model.text_cfg.to_dict(),
-        "vision_cfg": model.vision_cfg.to_dict(),
+        "text_cfg": asdict(model.text_cfg),
+        "vision_cfg": asdict(model.vision_cfg),
         "trainable": sorted(model.store.trainable),
         "no_decay": sorted(model.store.no_decay),
         **(extra or {}),
@@ -51,7 +52,7 @@ def save_euclidean(model: DualEncoder, path):
 
 
 def save_adapted(model: AdaptedModel, path):
-    _write(model.encoder, "adapted", path, {"peft": model.peft.to_dict()})
+    _write(model.encoder, "adapted", path, {"peft": asdict(model.peft)})
 
 
 def _read(path):
@@ -103,7 +104,7 @@ def load_euclidean(path) -> DualEncoder:
 
 def load_adapted(path) -> AdaptedModel:
     meta, arrays, enc = _rebuild(path, "adapted")
-    peft = PeftConfig.from_dict(meta["peft"])
+    peft = PeftConfig(**meta["peft"])
     # Rebuilding through the assembler recreates the exact parameter name set
     # (adaptation tensors, manifold scalars, temperature); arrays overwrite it.
     model = assemble_adapted_model(enc, peft, seed=meta["seed"])

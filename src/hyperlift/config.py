@@ -5,6 +5,7 @@ Unknown keys are rejected so a typo cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 from .data import GLYPH_NAMES, IMAGE_SIZE, VOCAB
@@ -42,12 +43,26 @@ class RunConfig:
     init_kappa: float = 1.0
 
 
+def _check_types(cls, d: dict):
+    """Raise a ConfigError for a value of `d` that its field's declared type
+    rules out: an `int` field takes only an int (not 2.0 or true), and a
+    `float` field an int or a float (not true)."""
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        kind = hints.get(key)
+        if kind is int and type(value) is not int:
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if kind is float and type(value) not in (int, float):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def build_section(cls, d: dict, path: str):
-    """`cls(**d)`, with a bad document or value raised as a ConfigError that
-    names the section."""
+    """`cls(**d)`, with a bad document or value (see `_check_types`) raised as
+    a ConfigError that names the section."""
     if not isinstance(d, dict):
         raise ConfigError(f"section {path!r} must be an object")
     try:
+        _check_types(cls, d)
         return cls(**d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"in section {path!r}: {exc}") from None
@@ -62,10 +77,8 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    try:
-        seed, init_kappa = int(doc.get("seed", 0)), float(doc.get("init_kappa", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed and init_kappa must be numbers: {exc}") from None
+    _check_types(RunConfig, doc)  # the sections are objects, checked as they are built
+    seed, init_kappa = doc.get("seed", 0), float(doc.get("init_kappa", 1.0))
     # every field with a default_factory is a section, built by its class
     sections = {f.name: build_section(f.default_factory, doc.get(f.name, {}), f.name)
                 for f in fields(RunConfig) if f.default_factory is not MISSING}

@@ -118,15 +118,6 @@ class CompositionalSample:
             "glyphs": self.glyphs,
         }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "CompositionalSample":
-        return cls(
-            image=np.asarray(rec["image"], dtype=np.float64),
-            caption=rec["caption"],
-            boxes=[(np.asarray(b["image"], dtype=np.float64), b["caption"]) for b in rec["boxes"]],
-            glyphs=list(rec["glyphs"]),
-        )
-
 
 @dataclass
 class VqaItem:
@@ -265,8 +256,8 @@ def save_jsonl(records, path):
             fh.write(json.dumps(rec.to_record()) + "\n")
 
 
-def _load_jsonl(path, cls) -> list:
-    """The `cls` records of a `save_jsonl` file. A line that is not JSON,
+def load_vqa(path) -> list[VqaItem]:
+    """The items of a `save_jsonl` file of VQA items. A line that is not JSON,
     lacks a key, or holds a schema version other than SCHEMA_VERSION raises
     ValueError naming the file and the line."""
     records = []
@@ -278,17 +269,9 @@ def _load_jsonl(path, cls) -> list:
                 rec = json.loads(line)
                 if rec["v"] != SCHEMA_VERSION:
                     raise ValueError(f"schema version {rec['v']!r}, expected {SCHEMA_VERSION}")
-                records.append(cls.from_record(rec))
+                records.append(VqaItem.from_record(rec))
             except KeyError as exc:
                 raise ValueError(f"{path}, line {lineno}: missing key {exc.args[0]!r}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return records
-
-
-def load_corpus(path) -> list[CompositionalSample]:
-    return _load_jsonl(path, CompositionalSample)
-
-
-def load_vqa(path) -> list[VqaItem]:
-    return _load_jsonl(path, VqaItem)

@@ -9,7 +9,7 @@ optional `adaptation` hook object so the backbone code stays method-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class EncoderConfig:
         if self.proj_dim < 2:
             raise ValueError("proj_dim must be >= 2")
         self.patch_grid = tuple(self.patch_grid)
-        if min(self.patch_grid) < 1 or any(self.image_size % g for g in self.patch_grid):
-            raise ValueError("patch_grid entries must be >= 1 and divide image_size")
+        if len(self.patch_grid) != 2 or not all(type(g) is int and g >= 1 and self.image_size % g == 0
+                                                for g in self.patch_grid):
+            raise ValueError("patch_grid must be two integers >= 1 that divide image_size")
 
     @property
     def mlp_dim(self) -> int:
@@ -54,9 +55,6 @@ class EncoderConfig:
     def patch_dim(self) -> int:
         gh, gw = self.patch_grid
         return (self.image_size // gh) * (self.image_size // gw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:

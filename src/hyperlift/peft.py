@@ -14,7 +14,7 @@ architectures that are never instantiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class PeftConfig:
     text_layers: tuple = ()             # block indices adapted in the text encoder
     bottleneck_dim: int = 16
     lora_rank: int = 8
-    lora_alpha: int = 8
+    lora_alpha: float = 8
     lora_targets: tuple = ("q", "v")
     rank_stabilized: bool = True
 
@@ -76,13 +76,6 @@ class PeftConfig:
     def lora_scale(self) -> float:
         r = self.lora_rank
         return self.lora_alpha / math.sqrt(r) if self.rank_stabilized else self.lora_alpha / r
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PeftConfig":
-        return cls(**d)
 
     def validate_for(self, text_cfg: EncoderConfig, vision_cfg: EncoderConfig):
         if any(i < 0 or i >= vision_cfg.n_layers for i in self.vision_layers):
@@ -329,12 +322,3 @@ def count_trainable_params(text_cfg: EncoderConfig, vision_cfg: EncoderConfig,
                      + sum(math.prod(shape) for shape, _ in added.values()))
         total += len(layers) * per_block
     return total
-
-
-# Symbolic architectures for the full-size parameter-budget checks.
-CLIP_B_TEXT = EncoderConfig(n_layers=12, d_model=512, n_heads=8, proj_dim=512, vocab_size=49408, max_len=77)
-CLIP_B_VISION = EncoderConfig(n_layers=12, d_model=768, n_heads=12, proj_dim=512,
-                              patch_grid=(14, 14), image_size=224)
-CLIP_S_TEXT = EncoderConfig(n_layers=12, d_model=512, n_heads=8, proj_dim=512, vocab_size=49408, max_len=77)
-CLIP_S_VISION = EncoderConfig(n_layers=12, d_model=384, n_heads=6, proj_dim=512,
-                              patch_grid=(14, 14), image_size=224)

@@ -22,16 +22,13 @@ from hyperlift.evaluation import evaluate, form_queries, geometry_report, predic
 from hyperlift.manifold import exp_map_general, exp_map_origin, geodesic_distance, lorentz_inner
 from hyperlift.objectives import LossConfig, contrastive_hcc, entailment_hce, total_loss
 from hyperlift.peft import (
-    CLIP_B_TEXT,
-    CLIP_B_VISION,
-    CLIP_S_TEXT,
-    CLIP_S_VISION,
     PeftConfig,
     assemble_adapted_model,
     count_trainable_params,
     last_k_layers,
 )
 from hyperlift.training import CorpusBatcher, TrainConfig, adapt, pretrain_euclidean
+from reference import CLIP_B_TEXT, CLIP_B_VISION, CLIP_S_TEXT, CLIP_S_VISION, trainable_params
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,7 @@ def test_c04_gradient_fidelity(criterion):
     model = assemble_adapted_model(DualEncoder(cfg, cfg, seed=3), peft, seed=3)
     # nudge every trainable tensor so zero-initialized branches carry signal
     rng = np.random.default_rng(4)
-    params = dict(model.store.trainable_items())
+    params = trainable_params(model.store)
     for t in params.values():
         t.data = np.asarray(t.data + 0.1 * rng.standard_normal(t.data.shape))
 

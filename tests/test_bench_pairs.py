@@ -48,8 +48,9 @@ REPO = _PATH.parent.parent
     (["eval-vqa=-3"], "expected WORKLOAD=N"),
     (["eval-vqa=1"], "at least 2 pairs"),
     (["adapt-seq-all=2", "evalvqa=2"], "'evalvqa=2'"),
+    (["eval-vqa=3", "eval-vqa=5"], "names eval-vqa twice"),
 ], ids=["no-count", "unknown-workload", "word-count", "negative-count", "one-pair",
-        "second-entry-bad"])
+        "second-entry-bad", "workload-repeated"])
 def test_bad_pairs_exit_2_before_any_run(pairs, message, monkeypatch, tmp_path, capsys):
     runs = []
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))

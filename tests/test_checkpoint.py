@@ -1,6 +1,7 @@
 """Checkpoint round-trip tests for both model kinds."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestAdapted:
         # Older checkpoints wrote the class constant `tau_min`; the key is ignored.
         model = adapted_model(seed=4)
         path = tmp_path / "old.npz"
-        _write(model.encoder, "adapted", path, {"peft": model.peft.to_dict(), "tau_min": 0.01})
+        _write(model.encoder, "adapted", path, {"peft": asdict(model.peft), "tau_min": 0.01})
         loaded = load_adapted(path)
         assert loaded.tau_min == model.tau_min
         for name, t in model.store.items():

@@ -15,6 +15,7 @@ from hyperlift.evaluation import geometry_report
 from hyperlift.manifold import exterior_angle, half_aperture
 from hyperlift.objectives import LossConfig
 from hyperlift.training import CorpusBatcher
+from reference import n_trainable
 
 
 def checkpoint_kind(path) -> str:
@@ -148,6 +149,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_run_config(path)
 
+    def test_float_settings_take_ints(self):
+        cfg = run_config_from_dict({"init_kappa": 2, "loss": {"lambda_entail": 1},
+                                    "peft": {"lora_alpha": 4.5}})
+        assert (cfg.init_kappa, cfg.loss.lambda_entail, cfg.peft.lora_alpha) == (2.0, 1, 4.5)
+
     def test_cone_k_and_pairs_are_parsed(self):
         cfg = run_config_from_dict({"loss": {"cone_k": 0.2,
                                              "entailment_pairs": [["text", "image"]]}})
@@ -166,9 +172,15 @@ class TestExitCodes:
         path.write_text(json.dumps({"peft": {"method": "nope"}}))
         assert main(["pretrain", "--config", str(path), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("doc", [[], {"seed": "abc"}, {"data": {"glyph_set_size": 3}},
-                                     {"data": {"n_samples": 0}}],
-                             ids=["list", "seed", "glyph_set_size", "n_samples"])
+    @pytest.mark.parametrize("doc", [
+        [], {"seed": "abc"}, {"data": {"glyph_set_size": 3}}, {"data": {"n_samples": 0}},
+        {"pretrain": {"steps": 2.5, "warmup_steps": 0}}, {"data": {"n_samples": 8.5}},
+        {"text_encoder": {"n_layers": 2.5}}, {"pretrain": {"batch_size": 4.0}}, {"seed": 1.7},
+        {"seed": True}, {"init_kappa": True}, {"loss": {"lambda_entail": True}},
+        {"vision_encoder": {"patch_grid": [4.0, 4.0]}},
+    ], ids=["list", "seed", "glyph_set_size", "n_samples", "steps_float", "n_samples_float",
+            "n_layers_float", "batch_size_float", "seed_float", "seed_bool", "init_kappa_bool",
+            "lambda_entail_bool", "patch_grid_float"])
     def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -376,7 +388,7 @@ class TestPipeline:
         assert main(["pretrain", "--config", config_path, "--out", str(tmp_path),
                      "--steps", "0"]) == 0
         model = load_euclidean(tmp_path / "euclidean.npz")
-        assert model.store.n_trainable() > 0
+        assert n_trainable(model.store) > 0
 
     def test_adapt_lambda_override(self, config_path, tmp_path):
         out = str(tmp_path)

@@ -20,6 +20,7 @@ from hyperlift.manifold import geodesic_distance
 from hyperlift.objectives import LossConfig, total_loss
 from hyperlift.peft import PeftConfig, assemble_adapted_model
 from hyperlift.training import CorpusBatcher, TrainConfig, adapt
+from reference import trainable_params
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +220,7 @@ class TestQueryCache:
         lc = LossConfig()
         check_gradients(
             lambda: total_loss(loaded.embed_batch(batch), loaded.tau, loaded.manifold.kappa, lc)[0],
-            dict(loaded.store.trainable_items()), n_probes=4)
+            trainable_params(loaded.store), n_probes=4)
         vqa = generate_vqa(seed=2, n_items=8)
         report = evaluate(vqa, loaded)
         tok = Tokenizer()

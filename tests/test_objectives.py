@@ -18,6 +18,7 @@ from hyperlift.objectives import (
     entailment_violation,
     total_loss,
 )
+from reference import trainable_params
 
 KAPPA = Tensor(1.0)
 TAU1 = Tensor(1.0)
@@ -195,5 +196,5 @@ class TestTotalLoss:
             total, _ = total_loss(batch, ag.exp(store["log_tau"]), params.kappa, cfg)
             return total
 
-        report = check_gradients(f, dict(store.trainable_items()), n_probes=60, seed=7)
+        report = check_gradients(f, trainable_params(store), n_probes=60, seed=7)
         assert report.passed, report.worst

@@ -4,6 +4,7 @@ freezing, and the analytic parameter counter against runtime enumeration."""
 import functools
 import gc
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,10 +15,6 @@ from hyperlift.data import Tokenizer, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.objectives import BatchEmbeddings, LossConfig, total_loss
 from hyperlift.peft import (
-    CLIP_B_TEXT,
-    CLIP_B_VISION,
-    CLIP_S_TEXT,
-    CLIP_S_VISION,
     ConfigError,
     N_SCALARS,
     PEFT_METHODS,
@@ -28,6 +25,8 @@ from hyperlift.peft import (
     last_k_layers,
 )
 from hyperlift.training import CorpusBatcher
+from reference import (CLIP_B_TEXT, CLIP_B_VISION, CLIP_S_TEXT, CLIP_S_VISION, n_trainable,
+                       trainable_params)
 
 ALL_LAYERS = (0, 1, 2, 3)
 
@@ -75,7 +74,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = peft_for("lora", lora_rank=4, lora_targets=("q", "k", "v"))
-        again = PeftConfig.from_dict(cfg.to_dict())
+        again = PeftConfig(**asdict(cfg))
         assert again == cfg
 
     def test_last_k_layers(self):
@@ -124,13 +123,13 @@ class TestTrainableSet:
         model = assemble_adapted_model(toy_model(), peft_for(method, **kw), seed=0)
         cfg = EncoderConfig()
         analytic = count_trainable_params(cfg, cfg, peft_for(method, **kw))
-        assert model.store.n_trainable() == analytic
+        assert n_trainable(model.store) == analytic
 
     def test_partial_layer_selection(self):
         peft = PeftConfig(method="seq_adapter", text_layers=(2, 3), vision_layers=(3,))
         model = assemble_adapted_model(toy_model(), peft, seed=0)
         cfg = EncoderConfig()
-        assert model.store.n_trainable() == count_trainable_params(cfg, cfg, peft)
+        assert n_trainable(model.store) == count_trainable_params(cfg, cfg, peft)
 
     def test_no_layers_gives_heads_and_scalars_only(self):
         peft = PeftConfig(method="bias", text_layers=(), vision_layers=())
@@ -217,7 +216,7 @@ class TestEmbedBatch:
     def model_and_batch(peft, distinct=False):
         model = assemble_adapted_model(toy_model(), peft, seed=0)
         rng = np.random.default_rng(4)
-        for _, t in model.store.trainable_items():  # move off the zero-delta init
+        for t in trainable_params(model.store).values():  # move off the zero-delta init
             t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
         batcher = CorpusBatcher(generate_corpus(seed=3, n_samples=24), Tokenizer(), seed=0)
         batch = batcher.gather(np.arange(8))
@@ -241,7 +240,7 @@ class TestEmbedBatch:
         model.store.zero_grads()
         loss, _ = total_loss(emb, model.tau, model.manifold.kappa, LossConfig())
         loss.backward()
-        return loss.item(), {n: t.grad for n, t in model.store.trainable_items()}
+        return loss.item(), {n: t.grad for n, t in trainable_params(model.store).items()}
 
     def test_distinct_rows(self):
         rows = np.array([[1, 2], [3, 4], [1, 2], [5, 6], [3, 4]])
@@ -325,7 +324,7 @@ def model_with_signal(method):
     not make the adapted path an exact identity."""
     model = assemble_adapted_model(toy_model(seed=4), peft_for(method), seed=4)
     rng = np.random.default_rng(4)
-    for name, t in model.store.trainable_items():
+    for name, t in trainable_params(model.store).items():
         if t.data.ndim:
             t.data = t.data + 0.05 * rng.standard_normal(t.data.shape)
     return model
