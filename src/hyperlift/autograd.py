@@ -543,20 +543,6 @@ def embedding_lookup(table, indices) -> Tensor:
     return _make(table.data[indices], "embedding", (table, grad))
 
 
-def gather_rows(x, row_indices) -> Tensor:
-    """out[b] = x[b, row_indices[b], :] — used for final-token pooling."""
-    x = as_tensor(x)
-    idx = np.asarray(row_indices)
-    batch = np.arange(x.data.shape[0])
-
-    def grad(g):
-        full = np.zeros_like(x.data)
-        full[batch, idx] = g
-        return full
-
-    return _make(x.data[batch, idx], "gather_rows", (x, grad))
-
-
 def l2_norm(a, axis=-1, keepdims=False) -> Tensor:
     a = as_tensor(a)
     return sqrt(tsum(a * a, axis=axis, keepdims=keepdims) + 1e-30)

@@ -8,7 +8,7 @@ import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import GLYPH_NAMES, IMAGE_SIZE, VOCAB
+from .data import GLYPH_NAMES, IMAGE_SIZE, MAX_CAPTION_TOKENS, VOCAB
 from .encoders import EncoderConfig
 from .objectives import LossConfig
 from .peft import ConfigError, PeftConfig
@@ -91,6 +91,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     if cfg.text_encoder.vocab_size < len(VOCAB):
         raise ConfigError(f"in section 'text_encoder': vocab_size {cfg.text_encoder.vocab_size} "
                           f"is below the tokenizer's {len(VOCAB)} words")
+    if cfg.text_encoder.max_len < MAX_CAPTION_TOKENS:
+        raise ConfigError(f"in section 'text_encoder': max_len {cfg.text_encoder.max_len} "
+                          f"is below the longest caption's {MAX_CAPTION_TOKENS} tokens")
     if cfg.text_encoder.proj_dim != cfg.vision_encoder.proj_dim:
         raise ConfigError("text and vision encoders must share proj_dim")
     if cfg.vision_encoder.image_size != IMAGE_SIZE:

@@ -27,6 +27,7 @@ GLYPH_NAMES = (
 )
 
 LAYOUT_WORDS = ("lone", "duo", "trio")  # indexed by object count - 1
+MAX_GLYPHS = len(LAYOUT_WORDS)  # objects per scene
 
 # Prompt stems, CLIP style: the candidate answer is appended to the stem and
 # the pair is scored as a caption. Both stems also occur in training captions.
@@ -34,6 +35,10 @@ QUESTION_TEMPLATES = (
     "picture with",
     "scene with",
 )
+
+# The longest caption: the longest stem, then MAX_GLYPHS glyphs joined by "and".
+MAX_CAPTION_TOKENS = (max(len(stem.split()) for stem in LAYOUT_WORDS + QUESTION_TEMPLATES)
+                      + 2 * MAX_GLYPHS - 1)
 
 PAD_TOKEN = "<pad>"
 
@@ -69,11 +74,7 @@ class Tokenizer:
                   width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Right-pad to the longest sequence in the batch (or to `width`);
         returns (tokens (B, L), lengths (B,)). Pad keys are masked out of
-        attention. `DualEncoder.encode_text` drops pad columns down to the
-        longest length rounded up to a multiple of 8 (at least 8), so every
-        width at least that wide, `max_len` included, encodes to the same bits
-        across batchings at no extra cost. Padding to the longest sequence
-        alone may round differently."""
+        attention."""
         if width is None:
             width = max(len(s) for s in sequences)
         batch = np.full((len(sequences), width), PAD_ID, dtype=np.int64)
@@ -190,7 +191,7 @@ def _scenes(seed: int, tag: int, n: int, glyph_set_size: int):
     active = GLYPH_NAMES[:glyph_set_size]
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence((seed, tag, i)))
-        glyphs = list(rng.choice(active, size=int(rng.integers(1, 4)), replace=False))
+        glyphs = list(rng.choice(active, size=int(rng.integers(1, MAX_GLYPHS + 1)), replace=False))
         image, crops = _render_scene(glyphs, rng)
         yield rng, glyphs, image, crops
 

@@ -34,6 +34,8 @@ class EncoderConfig:
     def __post_init__(self):
         if min(self.n_layers, self.d_model, self.n_heads) < 1:
             raise ValueError("n_layers, d_model and n_heads must be >= 1")
+        if self.mlp_dim < 1:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} gives mlp_dim {self.mlp_dim}, must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.proj_dim < 2:
@@ -179,62 +181,46 @@ class DualEncoder:
         normed = ag.layer_normalize(pooled, self.store[f"{pre}.gain"], self.store[f"{pre}.bias"])
         return normed @ self.store[f"{side}.proj"]
 
-    def encode_text(self, tokens, lengths=None, noise=None) -> Tensor:
-        """Encode padded token batches to (B, proj_dim) Euclidean vectors.
+    def encode_text(self, tokens, lengths, noise=None) -> Tensor:
+        """Encode a padded (B, width) token batch to (B, proj_dim) Euclidean
+        vectors, at that width.
 
         Pooling takes the representation at the last real token; padding is
-        masked out of attention. `lengths` (one per row, each in
-        [1, width]) defaults to the count of non-pad tokens. Columns past
-        the longest length are dropped down to the next multiple of 8 (at
-        least 8) before encoding, so any wider padding costs nothing and
-        changes no bit of the result. `noise`, if given, maps the token plus
-        position embeddings, (B, L, d_model) at that trimmed width, to their
-        training-time input (NEFTune noise in `training.adapt`).
+        masked out of attention. `lengths` holds one length per row, each in
+        [1, width]. `noise`, if given, maps the token plus position
+        embeddings, (B, width, d_model), to their training-time input
+        (NEFTune noise in `training.adapt`).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
+        if tokens.ndim != 2:
+            raise ValueError(f"tokens has shape {tokens.shape}, expected (B, width)")
         cfg = self.text_cfg
-        if tokens.shape[1] > cfg.max_len:
-            raise ValueError(f"sequence length {tokens.shape[1]} exceeds context {cfg.max_len}")
+        B, width = tokens.shape
+        if width > cfg.max_len:
+            raise ValueError(f"sequence length {width} exceeds context {cfg.max_len}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id outside vocabulary")
-        if lengths is None:
-            nonpad = tokens != 0
-            if not nonpad.any(axis=1).all():
-                raise ValueError("empty token sequence")
-            lengths = nonpad.sum(axis=1)
         lengths = np.asarray(lengths, dtype=np.int64)
-        B, width = tokens.shape
         if lengths.shape != (B,):
             raise ValueError(f"lengths has shape {lengths.shape}, expected ({B},) for {B} rows")
         if (lengths < 1).any():
             raise ValueError("empty token sequence")
         if (lengths > width).any():
             raise ValueError(f"length {lengths.max()} exceeds the token width {width}")
-        # Dropped columns only feed masked keys (softmax weight exactly 0.0)
-        # and rows pooling never reads. numpy sums each softmax row in 8
-        # lanes, to which they add exact zeros, so a multiple of 8 keeps
-        # every bit; trimming to the longest length would not.
-        L = min(width, max(8, -(-int(lengths.max()) // 8) * 8))
-        tokens = tokens[:, :L]
         x = ag.embedding_lookup(self.store["text.tok_emb"], tokens)
-        x = x + self.store["text.pos_emb"][:L]
+        x = x + self.store["text.pos_emb"][:width]
         if noise is not None:
             x = noise(x)
-        key_valid = np.arange(L)[None, :] < lengths[:, None]
+        key_valid = np.arange(width)[None, :] < lengths[:, None]
         mask = np.where(key_valid, 0.0, ATTN_MASK_VALUE)[:, None, None, :]
         for layer in range(cfg.n_layers):
             x = self._block(x, "text", layer, mask)
-        pooled = ag.gather_rows(x, lengths - 1)
-        return self._head(pooled, "text")
+        return self._head(x[np.arange(B), lengths - 1], "text")
 
     def check_images(self, images) -> np.ndarray:
-        """`images` as a float64 (B, H, W) array (one (H, W) image becomes
-        B=1); images of the wrong size raise ValueError."""
+        """`images` as a float64 (B, H, W) array; any other shape raises
+        ValueError."""
         images = np.asarray(images, dtype=np.float64)
-        if images.ndim == 2:
-            images = images[None, :, :]
         s = self.vision_cfg.image_size
         if images.shape[1:] != (s, s):
             raise ValueError(f"expected images of shape (B, {s}, {s}), got {images.shape}")

@@ -191,7 +191,7 @@ class AdaptedModel:
     def tau(self) -> Tensor:
         return ag.clamp(ag.exp(self.log_tau), lo=self.tau_min)
 
-    def embed_text(self, tokens, lengths=None, noise=None) -> Tensor:
+    def embed_text(self, tokens, lengths, noise=None) -> Tensor:
         v = self.encoder.encode_text(tokens, lengths, noise=noise)
         return lift(v, "text", self.manifold)
 

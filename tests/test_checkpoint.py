@@ -92,8 +92,8 @@ class TestAdapted:
         tokens = np.array([[3, 5, 7]])
         from hyperlift.autograd import no_grad
         with no_grad():
-            a = model.embed_text(tokens).data
-            b = loaded.embed_text(tokens).data
+            a = model.embed_text(tokens, np.array([3])).data
+            b = loaded.embed_text(tokens, np.array([3])).data
         assert np.array_equal(a, b)
 
     def test_kind_mismatch(self, tmp_path):

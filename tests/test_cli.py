@@ -79,6 +79,8 @@ class TestRunConfig:
         ({"pretrain": {"neftune_alpha": 0.1}}, "pretrain"),
         ({"loss": {"neftune_alpha": -0.1}}, "loss"),
         ({"text_encoder": {"vocab_size": 16}}, "text_encoder"),
+        ({"text_encoder": {"mlp_ratio": 0.001}}, "text_encoder"),
+        ({"text_encoder": {"max_len": 4}}, "text_encoder"),
         ({"data": {"n_samples": 8}, "pretrain": {"steps": 3, "batch_size": 16, "warmup_steps": 1}},
          "pretrain"),
         ({"data": {"n_samples": 8}, "pretrain": {"steps": 0},
@@ -114,7 +116,8 @@ class TestRunConfig:
             "init_kappa-not_a_number", "document-not_an_object", "pretrain-steps_negative",
             "adapt-warmup_steps_negative", "adapt-neftune_alpha_negative",
             "pretrain-neftune_alpha", "loss-neftune_alpha_negative",
-            "text_encoder-vocab_size_below_tokenizer",
+            "text_encoder-vocab_size_below_tokenizer", "text_encoder-mlp_dim_zero",
+            "text_encoder-max_len_below_caption",
             "pretrain-batch_size_above_n_samples", "adapt-batch_size_above_n_samples",
             "loss-not_an_object", "loss-tau_min", "loss-tau_min_large", "loss-tau_min_negative",
             "loss-cone_k_zero", "loss-cone_k_not_a_number", "loss-pairs_not_a_list",
@@ -177,10 +180,11 @@ class TestExitCodes:
         {"pretrain": {"steps": 2.5, "warmup_steps": 0}}, {"data": {"n_samples": 8.5}},
         {"text_encoder": {"n_layers": 2.5}}, {"pretrain": {"batch_size": 4.0}}, {"seed": 1.7},
         {"seed": True}, {"init_kappa": True}, {"loss": {"lambda_entail": True}},
-        {"vision_encoder": {"patch_grid": [4.0, 4.0]}},
+        {"vision_encoder": {"patch_grid": [4.0, 4.0]}}, {"text_encoder": {"mlp_ratio": 0.001}},
+        {"text_encoder": {"max_len": 4}},
     ], ids=["list", "seed", "glyph_set_size", "n_samples", "steps_float", "n_samples_float",
             "n_layers_float", "batch_size_float", "seed_float", "seed_bool", "init_kappa_bool",
-            "lambda_entail_bool", "patch_grid_float"])
+            "lambda_entail_bool", "patch_grid_float", "mlp_dim_zero", "max_len_below_caption"])
     def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -9,6 +9,7 @@ from hyperlift import autograd as ag
 from hyperlift.autograd import Tensor
 from hyperlift.data import PAD_ID, Tokenizer, neftune_noise
 from hyperlift.encoders import DualEncoder, EncoderConfig, trunc_normal
+from hyperlift.peft import PeftConfig, assemble_adapted_model
 from reference import n_trainable, trainable_params
 
 
@@ -56,12 +57,18 @@ class TestForward:
         assert t.shape == (5, model.text_cfg.proj_dim)
         assert v.shape == (5, model.vision_cfg.proj_dim)
 
-    def test_single_sequence_and_single_image_promote(self, model):
-        with ag.no_grad():
-            t = model.encode_text(np.array([3, 5, 7]))
-            v = model.encode_image(np.zeros((16, 16)))
-        assert t.shape == (1, 32)
-        assert v.shape == (1, 32)
+    def test_only_batches_are_encoded(self):
+        # One token row or one (H, W) image is not a batch of one: the
+        # encoders take (B, width) tokens and (B, H, W) images only.
+        cfg = EncoderConfig(n_layers=1)
+        model = DualEncoder(cfg, cfg, seed=0)
+        with pytest.raises(ValueError, match=r"tokens has shape \(3,\)"):
+            model.encode_text(np.array([3, 5, 7]), np.array([3]))
+        with pytest.raises(ValueError, match=r"got \(16, 16\)"):
+            model.encode_image(np.zeros((16, 16)))
+        adapted = assemble_adapted_model(model, PeftConfig(method="bias", text_layers=(0,)))
+        with pytest.raises(ValueError, match=r"got \(16, 16\)"):
+            adapted.embed_image(np.zeros((16, 16)))
 
     def test_construction_deterministic_under_seed(self):
         cfg = EncoderConfig()
@@ -106,11 +113,11 @@ class TestForward:
 
     def test_text_validation(self, model):
         with pytest.raises(ValueError, match="context"):
-            model.encode_text(np.ones((1, 64), dtype=np.int64))
+            model.encode_text(np.ones((1, 64), dtype=np.int64), np.array([64]))
         with pytest.raises(ValueError, match="vocabulary"):
-            model.encode_text(np.array([[999]]))
+            model.encode_text(np.array([[999]]), np.array([1]))
         with pytest.raises(ValueError, match="empty"):
-            model.encode_text(np.array([[PAD_ID, PAD_ID]]))
+            model.encode_text(np.array([[PAD_ID, PAD_ID]]), np.array([0]))
 
     def test_lengths_validation(self, model):
         tokens = np.array([[3, 5, 7, 0], [4, 0, 0, 0]])
@@ -123,10 +130,10 @@ class TestForward:
 
     @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
     def test_row_bits_do_not_depend_on_batch_width(self, model, grad):
-        # Rows of 1-7 tokens are encoded at width 8 on their own, at 16 beside
-        # a row of 10 tokens and at 32 beside one of 19; the 10-token row at 16
-        # and at 32. No row's bits may move. Neither 10 nor 19 is a multiple
-        # of 4, so a trim to the longest row or to a multiple of 4 shows here.
+        # Rows of 1-7 tokens are encoded on their own, beside a row of 10
+        # tokens and beside one of 19; the 10-token row alone and beside the
+        # 19-token row. Every batch is max_len wide, so a row's bits may only
+        # depend on its own tokens and length, never on the longest row.
         rng = np.random.default_rng(7)
         cfg = model.text_cfg
         lengths = [*range(1, 8), 10, 19]
@@ -158,12 +165,12 @@ class TestForward:
         assert diff.sum() == 1 and diff[6]
 
     def test_neftune_only_when_rng_given(self, model):
-        tokens = np.array([[3, 5, 7]])
+        tokens, lengths = np.array([[3, 5, 7]]), np.array([3])
         with ag.no_grad():
-            clean = model.encode_text(tokens).data
+            clean = model.encode_text(tokens, lengths).data
             rng = np.random.default_rng(0)
-            noisy = model.encode_text(tokens, noise=lambda x: neftune_noise(x, 0.5, rng)).data
-            clean2 = model.encode_text(tokens).data
+            noisy = model.encode_text(tokens, lengths, noise=lambda x: neftune_noise(x, 0.5, rng)).data
+            clean2 = model.encode_text(tokens, lengths).data
         assert not np.array_equal(clean, noisy)
         np.testing.assert_array_equal(clean, clean2)
 
@@ -179,7 +186,7 @@ class TestTrainingContract:
         model = DualEncoder(cfg, cfg, seed=0)
         model.store.freeze_all()
         model.store.set_trainable("text.proj", True)
-        out = model.encode_text(np.array([[3, 5]]))
+        out = model.encode_text(np.array([[3, 5]]), np.array([2]))
         out.sum().backward()
         for name, t in model.store.items():
             if name == "text.proj":
@@ -190,7 +197,7 @@ class TestTrainingContract:
     def test_gradients_flow_to_every_text_parameter(self):
         cfg = EncoderConfig(n_layers=2)
         model = DualEncoder(cfg, cfg, seed=0)
-        out = model.encode_text(np.array([[3, 5, 7]]))
+        out = model.encode_text(np.array([[3, 5, 7]]), np.array([3]))
         (out * out).sum().backward()
         for name, t in model.store.items():
             if name.startswith("text."):

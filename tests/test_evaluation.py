@@ -116,11 +116,11 @@ class TestPrediction:
         assert np.array_equal([rec["distances"] for rec in report.per_item], expected)
 
     def test_width_boundary_keeps_distances_and_predictions(self, model):
-        # Criterion 9 across the trim boundary. A 9-token query makes
-        # `evaluate` encode its chunk at width 16; beside 3-token queries only,
-        # the 6-token queries of the item under test are encoded at width 8,
-        # and so are they in `predict_answer`. Both chunks hold the same two
-        # images, so that item's distances must keep every bit.
+        # Criterion 9 across chunks whose longest queries differ. The item
+        # under test (6-token queries) is scored beside 9-token queries in one
+        # chunk and beside 3-token queries in the other; every query is padded
+        # to max_len in both, and in `predict_answer`. Both chunks hold the
+        # same two images, so that item's distances must keep every bit.
         # Against `predict_answer`, which returns no distances, the
         # predictions are compared.
         tok = Tokenizer()
@@ -263,7 +263,7 @@ class TestQueryCache:
         with no_grad():
             rows = batched.embed_image(images).data
             for image, row in zip(images, rows):
-                assert np.array_equal(single.embed_image(image).data[0], row)
+                assert np.array_equal(single.embed_image(image[None]).data[0], row)
 
         tok = Tokenizer()
         scored = []

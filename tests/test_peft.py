@@ -345,7 +345,7 @@ def row_pool():
 def lone_image(method, i):
     images = row_pool()[0]
     with ag.no_grad():
-        return model_with_signal(method).embed_image(images[i]).data[0]
+        return model_with_signal(method).embed_image(images[i:i + 1]).data[0]
 
 
 @functools.cache
@@ -362,7 +362,7 @@ def test_each_row_encodes_as_on_its_own(method, n, offset, width):
     # The memo stores each row as computed in whatever batch first met it,
     # and criterion 9 compares batched and one-at-a-time scores; both rest
     # on a row's bits not depending on its batch. Rows are cut to `width`
-    # columns (lengths capped there), so the trim to a multiple of 8 varies.
+    # columns (lengths capped there), so the encoded width varies too.
     images, tokens, lengths = row_pool()
     rows = slice(offset, offset + n)
     lengths = np.minimum(lengths[rows], width)
