@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -367,10 +366,6 @@ def sqrt(a) -> Tensor:
     return _pointwise(a, np.sqrt, lambda x, y: 0.5 / y, "sqrt")
 
 
-def cosh(a) -> Tensor:
-    return _pointwise(a, np.cosh, lambda x, y: np.sinh(x), "cosh")
-
-
 def acosh(a) -> Tensor:
     """acosh with the argument clamped to >= 1; derivative floored away from 1.
 
@@ -493,7 +488,7 @@ def log_softmax(a, axis=-1) -> Tensor:
                  (a, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)))
 
 
-def layer_normalize(x, gain, bias, eps=1e-5) -> Tensor:
+def layer_normalize(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Fused op: one node instead of the eight a composite would create.
@@ -501,7 +496,7 @@ def layer_normalize(x, gain, bias, eps=1e-5) -> Tensor:
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
     xhat = centered * inv_std
 
     lead = tuple(range(x.ndim - 1))
@@ -548,14 +543,15 @@ def l2_norm(a, axis=-1, keepdims=False) -> Tensor:
     return sqrt(tsum(a * a, axis=axis, keepdims=keepdims) + 1e-30)
 
 
-# -- parameters and gradient checking ---------------------------------------
+# -- parameters --------------------------------------------------------------
 
 
 class ParamStore:
     """Named parameter tensors with trainable / weight-decay bookkeeping.
 
-    A parameter is trainable exactly when its tensor has `requires_grad`.
-    Frozen parameters never receive gradients and are never touched by the
+    A parameter is trainable exactly when its tensor has `requires_grad`;
+    `add` registers it trainable and `set_trainable` changes that. Frozen
+    parameters never receive gradients and are never touched by the
     optimizer.
     """
 
@@ -563,10 +559,10 @@ class ParamStore:
         self._params: dict[str, Tensor] = {}
         self.no_decay: set[str] = set()
 
-    def add(self, name, data, trainable=True, no_decay=False):
+    def add(self, name, data, no_decay=False):
         if name in self._params:
             raise KeyError(f"duplicate parameter {name!r}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
+        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         if no_decay:
             self.no_decay.add(name)
@@ -595,77 +591,3 @@ class ParamStore:
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    n_probes: int
-    worst: tuple = field(default=())
-
-    @property
-    def passed(self):
-        return self.max_rel_err < 1e-4
-
-
-def _shifted(data: np.ndarray, idx, step: float) -> np.ndarray:
-    """A copy of `data` with `step` added at `idx`. Parameters are perturbed
-    by swapping in such copies: `Tensor.data` is never written in place."""
-    out = data.copy()
-    out[idx] += step
-    return out
-
-
-def check_gradients(f, params, n_probes=50, h=1e-5, seed=0) -> GradCheckReport:
-    """Compare analytic gradients of scalar `f()` against central differences.
-
-    `params` maps names to trainable Tensors that `f` reads. Probes are random
-    coordinates; relative error uses max(|analytic|, |numeric|) as denominator
-    and counts near-zero pairs as exact agreement.
-
-    `h` may be a single step size or a sequence. With a sequence, each probe
-    is scored at its best-agreeing step: the optimal central-difference step
-    depends on local curvature (favoring small steps) versus round-off noise
-    relative to the gradient's magnitude (favoring large steps), while a
-    genuinely wrong analytic gradient disagrees at every step size.
-    """
-    named = list(params.items())
-    for _, t in named:
-        t.grad = None
-    out = f()
-    out.backward()
-    analytic = {n: (t.grad if t.grad is not None else np.zeros_like(t.data)) for n, t in named}
-
-    steps = (h,) if np.isscalar(h) else tuple(h)
-    rng = np.random.default_rng(seed)
-    sizes = np.array([t.data.size for _, t in named])
-    total = int(sizes.sum())
-    probes = rng.choice(total, size=min(n_probes, total), replace=False)
-    offsets = np.cumsum(sizes)
-
-    max_rel, worst = 0.0, ()
-    for flat_idx in probes:
-        k = int(np.searchsorted(offsets, flat_idx, side="right"))
-        name, t = named[k]
-        local = int(flat_idx - (offsets[k - 1] if k else 0))
-        idx = np.unravel_index(local, t.data.shape)
-        orig = t.data
-        a = float(analytic[name][idx])
-        rel_here = None
-        for step in steps:
-            try:
-                with no_grad():
-                    t.data = _shifted(orig, idx, step)
-                    f_plus = f().item()
-                    t.data = _shifted(orig, idx, -step)
-                    f_minus = f().item()
-            finally:
-                t.data = orig
-            numeric = (f_plus - f_minus) / (2 * step)
-            denom = max(abs(a), abs(numeric))
-            rel = 0.0 if denom < 1e-8 else abs(a - numeric) / denom
-            if rel_here is None or rel < rel_here[0]:
-                rel_here = (rel, numeric)
-        if rel_here[0] > max_rel:
-            max_rel, worst = rel_here[0], (name, idx, a, rel_here[1])
-    return GradCheckReport(max_rel_err=max_rel, n_probes=len(probes), worst=worst)

@@ -5,6 +5,7 @@ Unknown keys are rejected so a typo cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -46,14 +47,14 @@ class RunConfig:
 def _check_types(cls, d: dict):
     """Raise a ConfigError for a value of `d` that its field's declared type
     rules out: an `int` field takes only an int (not 2.0 or true), and a
-    `float` field an int or a float (not true)."""
+    `float` field a finite int or float (not true, NaN or infinity)."""
     hints = typing.get_type_hints(cls)
     for key, value in d.items():
         kind = hints.get(key)
         if kind is int and type(value) is not int:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if kind is float and type(value) not in (int, float):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
+        if kind is float and (type(value) not in (int, float) or not math.isfinite(value)):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def build_section(cls, d: dict, path: str):

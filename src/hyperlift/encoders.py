@@ -59,9 +59,9 @@ class EncoderConfig:
         return (self.image_size // gh) * (self.image_size // gw)
 
 
-def trunc_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
-    """Normal(0, std) truncated to +-2 std, the usual transformer init."""
-    return np.clip(rng.standard_normal(shape), -2.0, 2.0) * std
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) truncated to +-2 std, the usual transformer init."""
+    return np.clip(rng.standard_normal(shape), -2.0, 2.0) * 0.02
 
 
 def block_shapes(cfg: EncoderConfig) -> dict[str, tuple]:

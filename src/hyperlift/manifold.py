@@ -18,7 +18,6 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, as_tensor
 
-MANIFOLD_ATOL = 1e-6
 ORIGIN_EPS = 1e-12
 
 
@@ -64,22 +63,6 @@ def exp_map_origin(v_euc, kappa) -> Tensor:
     x_space = ag.sinhc(sk * norm) * v_euc
     x_time = time_from_space(x_space, kappa)
     return ag.concat([x_space, ag.reshape(x_time, x_time.shape + (1,))], axis=-1)
-
-
-def exp_map_general(p, v, kappa) -> Tensor:
-    """Exponential map at an arbitrary base point.
-
-    cosh(sqrt(k)|v|_L) p + sinh(sqrt(k)|v|_L)/(sqrt(k)|v|_L) v, where |v|_L is
-    the Lorentzian norm. `v` must be tangent at `p`.
-    """
-    p, v, kappa = as_tensor(p), as_tensor(v), as_tensor(kappa)
-    tangency = np.abs(lorentz_inner(v, p).data)
-    if np.any(tangency > MANIFOLD_ATOL):
-        raise ValueError(f"vector is not tangent at base point (|<v,p>_L| up to {tangency.max():.3g})")
-    sk = ag.sqrt(kappa)
-    vnorm = ag.sqrt(ag.clamp(lorentz_inner(v, v), lo=0.0) + 1e-30)
-    u = sk * ag.reshape(vnorm, vnorm.shape + (1,))
-    return ag.cosh(u) * p + ag.sinhc(u) * v
 
 
 def geodesic_distance(x, y, kappa) -> Tensor:

@@ -274,21 +274,14 @@ class AdaptedModel:
 
 
 def assemble_adapted_model(encoder: DualEncoder, peft: PeftConfig, seed: int = 0,
-                           init_kappa: float = 1.0, tau_init: float = 0.07,
-                           reinit_heads: bool = True) -> AdaptedModel:
+                           init_kappa: float = 1.0, tau_init: float = 0.07) -> AdaptedModel:
     """Freeze the backbone, re-initialize heads and final LayerNorms as fully
-    trainable, attach adaptation parameters, and add the manifold scalars.
-
-    `reinit_heads=False` keeps the checkpoint head weights, so a freshly
-    wrapped model reproduces the frozen encoder's outputs exactly.
-    """
+    trainable, attach adaptation parameters, and add the manifold scalars."""
     peft.validate_for(encoder.text_cfg, encoder.vision_cfg)
     store = encoder.store
     store.freeze_all()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xADA)))
     for side in ("text", "vision"):
-        if not reinit_heads:
-            continue
         cfg = encoder.config_for(side)
         store[f"{side}.proj"].data = trunc_normal(rng, (cfg.d_model, cfg.proj_dim))
         store[f"{side}.final_ln.gain"].data = np.ones(cfg.d_model)

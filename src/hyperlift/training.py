@@ -45,7 +45,7 @@ class TrainConfig:
         if min(self.base_lr, self.weight_decay, self.grad_clip) < 0:
             raise ValueError("base_lr, weight_decay and grad_clip must be >= 0")
         if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
-                and all(isinstance(b, (int, float)) and 0 <= b < 1 for b in self.betas)):
+                and all(type(b) in (int, float) and 0 <= b < 1 for b in self.betas)):
             raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
@@ -93,7 +93,7 @@ class AdamW:
                     self.store[name].grad = self.store[name].grad * scale
         return norm
 
-    def step(self, lr: float, eps: float = 1e-8):
+    def step(self, lr: float):
         b1, b2 = self.cfg.betas
         self.t += 1
         bc1 = 1.0 - b1**self.t
@@ -109,7 +109,7 @@ class AdamW:
             self.v[name] = np.asarray(b2 * self.v[name] + (1 - b2) * g * g)
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            update = m_hat / (np.sqrt(v_hat) + eps)
+            update = m_hat / (np.sqrt(v_hat) + 1e-8)
             if name not in self.store.no_decay and self.cfg.weight_decay > 0:
                 update = update + self.cfg.weight_decay * p.data
             p.data = np.asarray(p.data - lr * update)

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from hyperlift import autograd as ag
-from hyperlift.autograd import check_gradients
 from hyperlift.checkpoint import load_euclidean, save_euclidean
 from hyperlift.cli import main
 from hyperlift.data import Tokenizer, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.evaluation import evaluate, form_queries, geometry_report, predict_answer
-from hyperlift.manifold import exp_map_general, exp_map_origin, geodesic_distance, lorentz_inner
+from hyperlift.manifold import exp_map_origin, geodesic_distance, lorentz_inner
 from hyperlift.objectives import LossConfig, contrastive_hcc, entailment_hce, total_loss
 from hyperlift.peft import (
     PeftConfig,
@@ -28,7 +27,8 @@ from hyperlift.peft import (
     last_k_layers,
 )
 from hyperlift.training import CorpusBatcher, TrainConfig, adapt, pretrain_euclidean
-from reference import CLIP_B_TEXT, CLIP_B_VISION, CLIP_S_TEXT, CLIP_S_VISION, trainable_params
+from reference import (CLIP_B_TEXT, CLIP_B_VISION, CLIP_S_TEXT, CLIP_S_VISION, assemble_keeping_heads,
+                       check_gradients, exp_map_general, trainable_params)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,7 @@ def test_c06_identity_at_init(criterion, euclidean_ckpt, corpus10k):
     ok, gaps = True, []
     for method in ("lora", "par_adapter"):
         peft = PeftConfig(method=method, text_layers=(0, 1, 2, 3), vision_layers=(0, 1, 2, 3))
-        wrapped = assemble_adapted_model(load_euclidean(euclidean_ckpt), peft, seed=0,
-                                         reinit_heads=False)
+        wrapped = assemble_keeping_heads(load_euclidean(euclidean_ckpt), peft, seed=0)
         with ag.no_grad():
             out_t = wrapped.encoder.encode_text(batch["tokens"], batch["lengths"]).data
             out_v = wrapped.encoder.encode_image(batch["images"]).data

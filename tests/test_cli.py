@@ -109,6 +109,12 @@ class TestRunConfig:
         ({"adapt": {"betas": [0.9, 1.0]}}, "adapt"),
         ({"adapt": {"weight_decay": -0.1}}, "adapt"),
         ({"pretrain": {"grad_clip": -1}}, "pretrain"),
+        ({"loss": {"lambda_entail": float("nan")}}, "loss"),
+        ({"adapt": {"grad_clip": float("nan")}}, "adapt"),
+        ({"adapt": {"weight_decay": float("nan")}}, "adapt"),
+        ({"pretrain": {"base_lr": float("inf")}}, "pretrain"),
+        ({"init_kappa": float("-inf")}, "init_kappa"),
+        ({"adapt": {"betas": [False, 0.9]}}, "adapt"),
     ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads", "text_encoder-d_model",
             "text_encoder-n_layers", "vision_encoder-image_size", "vision_encoder-patch_grid",
             "vision_encoder-image_size_not_corpus", "pretrain-base_lr", "data-glyph_set_size_small",
@@ -126,7 +132,9 @@ class TestRunConfig:
             "peft-lora_rank_float", "peft-bottleneck_dim_bool", "peft-lora_alpha_negative",
             "peft-lora_targets_string", "peft-rank_stabilized_string",
             "adapt-betas_not_a_list", "adapt-betas_one", "adapt-betas_at_one",
-            "adapt-weight_decay_negative", "pretrain-grad_clip_negative"])
+            "adapt-weight_decay_negative", "pretrain-grad_clip_negative", "loss-lambda_entail_nan",
+            "adapt-grad_clip_nan", "adapt-weight_decay_nan", "pretrain-base_lr_inf",
+            "init_kappa-negative_inf", "adapt-betas_bool"])
     def test_invalid_value_surfaces_section(self, doc, section):
         with pytest.raises(ConfigError, match=section):
             run_config_from_dict(doc)
@@ -207,9 +215,10 @@ class TestExitCodes:
         ("adapt", ["--steps", "-5"], "section 'adapt': steps"),
         ("adapt", ["--steps", "3"], "section 'adapt': warmup_steps must be < steps"),
         ("adapt", ["--lambda", "-1"], "section 'loss': lambda_entail must be non-negative"),
+        ("adapt", ["--lambda", "nan"], "section 'loss': lambda_entail must be a finite number"),
     ], ids=["pretrain-steps_negative", "pretrain-steps_below_warmup",
             "pretrain-steps_with_batch_above_n_samples", "adapt-steps_negative",
-            "adapt-steps_below_warmup", "adapt-lambda_negative"])
+            "adapt-steps_below_warmup", "adapt-lambda_negative", "adapt-lambda_nan"])
     def test_override_flag_is_validated_before_writing(self, tmp_path, capsys, command, flags,
                                                        message):
         # warmup_steps keeps its default 200, so a 3-step override must fail;

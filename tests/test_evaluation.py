@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hyperlift import evaluation
-from hyperlift.autograd import check_gradients, no_grad
+from hyperlift.autograd import no_grad
 from hyperlift.checkpoint import load_adapted, save_adapted
 from hyperlift.data import Tokenizer, VqaItem, generate_corpus, generate_vqa
 from hyperlift.encoders import DualEncoder, EncoderConfig
@@ -20,15 +20,19 @@ from hyperlift.manifold import geodesic_distance
 from hyperlift.objectives import LossConfig, total_loss
 from hyperlift.peft import PeftConfig, assemble_adapted_model
 from hyperlift.training import CorpusBatcher, TrainConfig, adapt
-from reference import trainable_params
+from reference import check_gradients, trainable_params
 
 
-@pytest.fixture(scope="module")
-def model():
+def bias_model():
     cfg = EncoderConfig()
     enc = DualEncoder(cfg, cfg, seed=0)
     peft = PeftConfig(method="bias", text_layers=(0, 1, 2, 3), vision_layers=(0, 1, 2, 3))
     return assemble_adapted_model(enc, peft, seed=0)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return bias_model()
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +119,17 @@ class TestPrediction:
         report = evaluate(vqa, model, batch_size=len(vqa))
         assert np.array_equal([rec["distances"] for rec in report.per_item], expected)
 
-    def test_width_boundary_keeps_distances_and_predictions(self, model):
+    def test_width_boundary_keeps_distances_and_predictions(self):
         # Criterion 9 across chunks whose longest queries differ. The item
         # under test (6-token queries) is scored beside 9-token queries in one
         # chunk and beside 3-token queries in the other; every query is padded
         # to max_len in both, and in `predict_answer`. Both chunks hold the
         # same two images, so that item's distances must keep every bit.
-        # Against `predict_answer`, which returns no distances, the
-        # predictions are compared.
+        # Each chunk is scored by its own one of two equal models, so neither
+        # reads a query point the other encoded. Against `predict_answer`,
+        # which returns no distances and runs on the narrow chunk's model, the
+        # wide chunk's predictions are compared.
+        wide_model, narrow_model = bias_model(), bias_model()
         tok = Tokenizer()
         first, second = generate_vqa(seed=3, n_items=2)
 
@@ -134,12 +141,12 @@ class TestPrediction:
         item = asking(second, "what object is shown with")
         assert {len(q) for q in form_queries(long.question, long.candidates, tok)} == {9}
         assert {len(q) for q in form_queries(item.question, item.candidates, tok)} == {6}
-        wide = evaluate([long, item], model)
-        narrow = evaluate([first, item], model)
+        wide = evaluate([long, item], wide_model)
+        narrow = evaluate([first, item], narrow_model)
         assert np.array_equal(wide.per_item[1]["distances"], narrow.per_item[1]["distances"])
         for it, rec in zip((long, item), wide.per_item):
             queries = form_queries(it.question, it.candidates, tok)
-            assert predict_answer(it.image, queries, model, tok) == rec["predicted"]
+            assert predict_answer(it.image, queries, narrow_model, tok) == rec["predicted"]
 
     def test_batch_size_does_not_change_predictions(self, model, vqa):
         a = evaluate(vqa, model, batch_size=7)

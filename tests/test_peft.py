@@ -25,8 +25,8 @@ from hyperlift.peft import (
     last_k_layers,
 )
 from hyperlift.training import CorpusBatcher
-from reference import (CLIP_B_TEXT, CLIP_B_VISION, CLIP_S_TEXT, CLIP_S_VISION, n_trainable,
-                       trainable_params)
+from reference import (CLIP_B_TEXT, CLIP_B_VISION, CLIP_S_TEXT, CLIP_S_VISION, assemble_keeping_heads,
+                       n_trainable, trainable_params)
 
 ALL_LAYERS = (0, 1, 2, 3)
 
@@ -90,8 +90,7 @@ class TestIdentityAtInit:
         with ag.no_grad():
             ref_t = base.encode_text(tokens, lengths).data.copy()
             ref_v = base.encode_image(images).data.copy()
-        wrapped = assemble_adapted_model(toy_model(), peft_for(method), seed=0,
-                                         reinit_heads=False)
+        wrapped = assemble_keeping_heads(toy_model(), peft_for(method), seed=0)
         with ag.no_grad():
             out_t = wrapped.encoder.encode_text(tokens, lengths).data
             out_v = wrapped.encoder.encode_image(images).data
