@@ -139,9 +139,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -167,12 +164,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:

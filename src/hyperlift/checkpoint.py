@@ -1,6 +1,8 @@
 """Checkpoint container: a single .npz holding every named float64 tensor
-plus a JSON metadata block (configs, seed, trainable/no-decay sets, and for
-adapted models the PEFT config). Round-trips bit-exactly.
+plus a JSON metadata block (format version, kind, seed, encoder configs, and
+for adapted models the PEFT config). Round-trips bit-exactly. The trainable
+and no-decay sets are not stored: loading rebuilds the model from the
+metadata, which makes the same sets, and then assigns the arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ def _write(model: DualEncoder, kind: str, path, extra=None):
         "seed": model.seed,
         "text_cfg": asdict(model.text_cfg),
         "vision_cfg": asdict(model.vision_cfg),
-        "trainable": sorted(model.store.trainable),
-        "no_decay": sorted(model.store.no_decay),
         **(extra or {}),
     }
     arrays = {name: t.data for name, t in model.store.items()}
@@ -55,7 +55,11 @@ def save_adapted(model: AdaptedModel, path):
     _write(model.encoder, "adapted", path, {"peft": asdict(model.peft)})
 
 
-def _read(path):
+def _rebuild(path, kind: str):
+    """The arrays of the checkpoint of `kind` at `path`, a fresh encoder of its
+    architecture and, for an adapted checkpoint, its PEFT config. Metadata of
+    the wrong form (a missing key, a wrong type, an unknown config field) is a
+    ValueError that names the file."""
     try:
         with np.load(path) as blob:
             arrays = {k: blob[k] for k in blob.files}
@@ -64,12 +68,21 @@ def _read(path):
     if _META_KEY not in arrays:
         raise ValueError(f"{path} is not a hyperlift checkpoint: it has no {_META_KEY!r} entry")
     meta = json.loads(bytes(arrays.pop(_META_KEY)).decode())
-    if meta["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format {meta['format_version']}")
-    return meta, arrays
+    try:
+        if meta["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {meta['format_version']}")
+        if meta["kind"] != kind:
+            raise ValueError(f"expected a {kind!r} checkpoint, got {meta['kind']!r}")
+        enc = DualEncoder(EncoderConfig(**meta["text_cfg"]), EncoderConfig(**meta["vision_cfg"]),
+                          seed=meta["seed"])
+        peft = PeftConfig(**meta["peft"]) if kind == "adapted" else None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} has malformed {_META_KEY!r} metadata: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    return arrays, enc, peft
 
 
-def _restore_store(model: DualEncoder, meta, arrays):
+def _restore_store(model: DualEncoder, arrays):
     store = model.store
     expected = set(store.names())
     saved = set(arrays)
@@ -79,34 +92,18 @@ def _restore_store(model: DualEncoder, meta, arrays):
                          f"surplus={sorted(surplus)[:3]})")
     for name, arr in arrays.items():
         store[name].data = np.asarray(arr, dtype=np.float64)
-    trainable = set(meta["trainable"])
-    for name in store.names():
-        store.set_trainable(name, name in trainable)
-    store.no_decay = set(meta["no_decay"])
-
-
-def _rebuild(path, kind: str):
-    """Read a checkpoint of `kind` and a fresh encoder of its architecture."""
-    meta, arrays = _read(path)
-    if meta["kind"] != kind:
-        raise ValueError(f"expected a {kind!r} checkpoint, got {meta['kind']!r}")
-    enc = DualEncoder(
-        EncoderConfig(**meta["text_cfg"]), EncoderConfig(**meta["vision_cfg"]), seed=meta["seed"]
-    )
-    return meta, arrays, enc
 
 
 def load_euclidean(path) -> DualEncoder:
-    meta, arrays, model = _rebuild(path, "euclidean")
-    _restore_store(model, meta, arrays)
+    arrays, model, _ = _rebuild(path, "euclidean")
+    _restore_store(model, arrays)
     return model
 
 
 def load_adapted(path) -> AdaptedModel:
-    meta, arrays, enc = _rebuild(path, "adapted")
-    peft = PeftConfig(**meta["peft"])
+    arrays, enc, peft = _rebuild(path, "adapted")
     # Rebuilding through the assembler recreates the exact parameter name set
     # (adaptation tensors, manifold scalars, temperature); arrays overwrite it.
-    model = assemble_adapted_model(enc, peft, seed=meta["seed"])
-    _restore_store(enc, meta, arrays)
+    model = assemble_adapted_model(enc, peft, seed=enc.seed)
+    _restore_store(enc, arrays)
     return model

@@ -79,11 +79,12 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     _check_types(RunConfig, doc)  # the sections are objects, checked as they are built
-    seed, init_kappa = doc.get("seed", 0), float(doc.get("init_kappa", 1.0))
     # every field with a default_factory is a section, built by its class
     sections = {f.name: build_section(f.default_factory, doc.get(f.name, {}), f.name)
                 for f in fields(RunConfig) if f.default_factory is not MISSING}
-    cfg = RunConfig(seed=seed, init_kappa=init_kappa, **sections)
+    cfg = RunConfig(**{**doc, **sections})
+    if cfg.init_kappa <= 0:
+        raise ConfigError(f"init_kappa must be positive, got {cfg.init_kappa!r}")
     for name in ("pretrain", "adapt"):
         train = getattr(cfg, name)
         if train.steps > 0 and train.batch_size > cfg.data.n_samples:

@@ -14,7 +14,7 @@ import numpy as np
 from .autograd import no_grad
 from .data import Tokenizer, VqaItem
 from .manifold import geodesic_distance, lorentz_radius
-from .objectives import POINT_SETS, LossConfig, entailment_violation, pair_rows
+from .objectives import POINT_SETS, LossConfig, entailment_hinges
 from .peft import AdaptedModel
 from .training import CorpusBatcher
 
@@ -103,8 +103,8 @@ def geometry_report(corpus_sample, model: AdaptedModel, loss: LossConfig | None 
                     batch_size: int = 256) -> dict:
     """Per-category Lorentz radii and the cone-containment rate over the true
     parent/child pairs of the run's entailment relations, with the run's cone
-    (`loss.entailment_pairs` and `loss.cone`; the defaults when `loss` is None).
-    A pair is contained when `entailment_violation` gives it 0; as in
+    (`loss.entailment_pairs` and `loss.cone_k`; the defaults when `loss` is
+    None). A pair is contained when its `entailment_hinges` entry is 0; as in
     training, a pair whose parent sits at the origin is left out (the rate
     is NaN if every pair is)."""
     if len(corpus_sample) < 1:
@@ -120,13 +120,10 @@ def geometry_report(corpus_sample, model: AdaptedModel, loss: LossConfig | None 
             emb = model.embed_batch(batcher.gather(idx))
             for name, r in radii.items():
                 r.append(lorentz_radius(getattr(emb, name), kappa).data)
-            for parent_name, child_name in loss.entailment_pairs:
-                ppts, cpts = pair_rows(getattr(emb, parent_name), getattr(emb, child_name),
-                                       parent_name, emb.box_parent)
-                hinge = entailment_violation(ppts, cpts, kappa, loss.cone).data
+            for hinge in entailment_hinges(emb, kappa, loss):
                 if hinge.ndim:  # 0-d when every parent sits at the origin: no pair to count
-                    contained += int((hinge == 0).sum())
-                    total += hinge.size
+                    contained += int((hinge.data == 0).sum())
+                    total += hinge.data.size
         report = {"n_samples": len(corpus_sample), "radius": {}, "kappa": kappa.item()}
         for name, chunks in radii.items():
             r = np.concatenate(chunks)

@@ -11,7 +11,6 @@ leading batch axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,20 +85,8 @@ def lorentz_radius(x, kappa) -> Tensor:
     return ag.sqrt(1.0 / kappa) * ag.acosh(ag.sqrt(kappa) * x[..., -1])
 
 
-@dataclass
-class ConeParams:
-    """Entailment-cone geometry: `boundary_const` sets the radius below which
-    apertures saturate at pi/2 (wide cones near the origin)."""
-
-    boundary_const: float = 0.1
-
-    def __post_init__(self):
-        if self.boundary_const <= 0:
-            raise ValueError("boundary_const must be positive")
-
-
-def half_aperture(x, kappa, cone: ConeParams) -> Tensor:
-    """Cone half-opening arcsin(min(1, 2K / (sqrt(k) |x_space|))).
+def half_aperture(x, kappa, cone_k: float) -> Tensor:
+    """Cone half-opening arcsin(min(1, 2K / (sqrt(k) |x_space|))), K = `cone_k`.
 
     Saturates at pi/2 for points close to the origin; monotonically
     non-increasing in the spatial norm, so general concepts near the origin
@@ -107,7 +94,7 @@ def half_aperture(x, kappa, cone: ConeParams) -> Tensor:
     """
     x, kappa = as_tensor(x), as_tensor(kappa)
     snorm = ag.l2_norm(x[..., :-1], axis=-1)
-    arg = (2.0 * cone.boundary_const) / (ag.sqrt(kappa) * snorm + 1e-30)
+    arg = (2.0 * cone_k) / (ag.sqrt(kappa) * snorm + 1e-30)
     return ag.arcsin(ag.clamp(arg, hi=1.0))
 
 

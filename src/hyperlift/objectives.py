@@ -9,7 +9,7 @@ total = contrastive + lambda * entailment.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .manifold import (
     ORIGIN_EPS,
-    ConeParams,
     exterior_angle,
     half_aperture,
     pairwise_geodesic_distance,
@@ -40,15 +39,14 @@ DEFAULT_ENTAILMENT_PAIRS = (
 class LossConfig:
     """Adaptation loss settings. `neftune_alpha` scales the NEFTune noise on
     text embeddings (0 turns it off). `cone_k` is the entailment cones'
-    `boundary_const`, and `cone` is built from it; `entailment_pairs` lists
-    [parent, child] names of `POINT_SETS`."""
+    constant K (see `half_aperture`); `entailment_pairs` lists [parent, child]
+    names of `POINT_SETS`."""
 
     lambda_entail: float = 0.1
     tau_init: float = 0.07
     neftune_alpha: float = 0.1
     cone_k: float = 0.1
     entailment_pairs: tuple = DEFAULT_ENTAILMENT_PAIRS
-    cone: ConeParams = field(init=False)
 
     def __post_init__(self):
         if self.lambda_entail < 0:
@@ -57,7 +55,6 @@ class LossConfig:
             raise ValueError("neftune_alpha must be non-negative")
         if not all(isinstance(v, (int, float)) and v > 0 for v in (self.tau_init, self.cone_k)):
             raise ValueError("tau_init and cone_k must be positive numbers")
-        self.cone = ConeParams(boundary_const=float(self.cone_k))
         pairs = self.entailment_pairs
         if not isinstance(pairs, (list, tuple)) or not pairs or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 and all(n in POINT_SETS for n in p)
@@ -113,7 +110,7 @@ def pair_rows(parent, child, parent_name: str, box_parent):
     return parent, child
 
 
-def entailment_violation(parent, child, kappa, cone: ConeParams) -> Tensor:
+def entailment_violation(parent, child, kappa, cone_k: float) -> Tensor:
     """Per-pair hinge max(0, exterior_angle - half_aperture).
 
     Parents that sit numerically at the origin have no cone axis; they
@@ -130,18 +127,25 @@ def entailment_violation(parent, child, kappa, cone: ConeParams) -> Tensor:
         if not keep.any():
             return Tensor(0.0)
     ext = exterior_angle(parent, child, kappa)
-    psi = half_aperture(parent, kappa, cone)
+    psi = half_aperture(parent, kappa, cone_k)
     return ag.relu(ext - psi)
+
+
+def entailment_hinges(batch: BatchEmbeddings, kappa: Tensor, config: LossConfig) -> list[Tensor]:
+    """The per-pair `entailment_violation` of each relation of
+    `config.entailment_pairs`, in order (0-d when every parent of a relation
+    sits at the origin)."""
+    hinges = []
+    for parent_name, child_name in config.entailment_pairs:
+        parent, child = pair_rows(getattr(batch, parent_name), getattr(batch, child_name),
+                                  parent_name, batch.box_parent)
+        hinges.append(entailment_violation(parent, child, kappa, config.cone_k))
+    return hinges
 
 
 def entailment_hce(batch: BatchEmbeddings, kappa: Tensor, config: LossConfig) -> Tensor:
     """Cone-violation hinge averaged over the configured parent->child pairs."""
-    terms = []
-    for parent_name, child_name in config.entailment_pairs:
-        parent, child = pair_rows(getattr(batch, parent_name), getattr(batch, child_name),
-                                  parent_name, batch.box_parent)
-        terms.append(entailment_violation(parent, child, kappa, config.cone).mean())
-    return ag.stack(terms).mean()
+    return ag.stack([h.mean() for h in entailment_hinges(batch, kappa, config)]).mean()
 
 
 def total_loss(batch: BatchEmbeddings, tau: Tensor, kappa: Tensor,

@@ -1,6 +1,5 @@
 """Shared fixtures for the acceptance suite and the pass/fail summary hook."""
 
-import numpy as np
 import pytest
 
 # Collected by tests/test_acceptance.py; printed in the terminal summary so

@@ -173,7 +173,7 @@ class TestBroadcastingAndShape:
         w = Tensor(np.random.default_rng(1).standard_normal((2, 3, 4)))
 
         def build():
-            r = a.transpose((2, 0, 1)).reshape(24)
+            r = ag.reshape(ag.transpose(a, (2, 0, 1)), (24,))
             return (r * r).sum()
 
         assert_grad_matches(build, a)

@@ -84,6 +84,26 @@ class TestAdapted:
         with np.load(path) as blob:
             assert "tau_min" not in json.loads(bytes(blob["__meta__"]).decode())
 
+    def test_loads_a_checkpoint_that_carries_the_trainable_sets(self, tmp_path):
+        # Older checkpoints wrote the trainable and no-decay sets; loading rebuilds both.
+        model = adapted_model(seed=4)
+        model.store["manifold.log_kappa"].data = np.array(0.4)
+        path = tmp_path / "old.npz"
+        _write(model.encoder, "adapted", path, {
+            "peft": asdict(model.peft),
+            "trainable": sorted(model.store.trainable),
+            "no_decay": sorted(model.store.no_decay),
+        })
+        loaded = load_adapted(path)
+        for name, t in model.store.items():
+            assert np.array_equal(loaded.store[name].data, t.data), name
+        assert loaded.store.trainable == model.store.trainable
+        assert loaded.store.no_decay == model.store.no_decay
+        save_adapted(loaded, path)
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["__meta__"]).decode())
+        assert not {"trainable", "no_decay"} & set(meta)
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = adapted_model(seed=5, method="seq_adapter")
         path = tmp_path / "adapted.npz"

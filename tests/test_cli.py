@@ -114,6 +114,8 @@ class TestRunConfig:
         ({"adapt": {"weight_decay": float("nan")}}, "adapt"),
         ({"pretrain": {"base_lr": float("inf")}}, "pretrain"),
         ({"init_kappa": float("-inf")}, "init_kappa"),
+        ({"init_kappa": 0}, "init_kappa"),
+        ({"init_kappa": -2}, "init_kappa"),
         ({"adapt": {"betas": [False, 0.9]}}, "adapt"),
     ], ids=["peft-method", "pretrain-log_every", "text_encoder-n_heads", "text_encoder-d_model",
             "text_encoder-n_layers", "vision_encoder-image_size", "vision_encoder-patch_grid",
@@ -134,7 +136,8 @@ class TestRunConfig:
             "adapt-betas_not_a_list", "adapt-betas_one", "adapt-betas_at_one",
             "adapt-weight_decay_negative", "pretrain-grad_clip_negative", "loss-lambda_entail_nan",
             "adapt-grad_clip_nan", "adapt-weight_decay_nan", "pretrain-base_lr_inf",
-            "init_kappa-negative_inf", "adapt-betas_bool"])
+            "init_kappa-negative_inf", "init_kappa-zero", "init_kappa-negative",
+            "adapt-betas_bool"])
     def test_invalid_value_surfaces_section(self, doc, section):
         with pytest.raises(ConfigError, match=section):
             run_config_from_dict(doc)
@@ -168,7 +171,7 @@ class TestRunConfig:
     def test_cone_k_and_pairs_are_parsed(self):
         cfg = run_config_from_dict({"loss": {"cone_k": 0.2,
                                              "entailment_pairs": [["text", "image"]]}})
-        assert cfg.loss.cone.boundary_const == 0.2
+        assert cfg.loss.cone_k == 0.2
         assert cfg.loss.entailment_pairs == (("text", "image"),)
 
 
@@ -189,10 +192,11 @@ class TestExitCodes:
         {"text_encoder": {"n_layers": 2.5}}, {"pretrain": {"batch_size": 4.0}}, {"seed": 1.7},
         {"seed": True}, {"init_kappa": True}, {"loss": {"lambda_entail": True}},
         {"vision_encoder": {"patch_grid": [4.0, 4.0]}}, {"text_encoder": {"mlp_ratio": 0.001}},
-        {"text_encoder": {"max_len": 4}},
+        {"text_encoder": {"max_len": 4}}, {"init_kappa": 0}, {"init_kappa": -2},
     ], ids=["list", "seed", "glyph_set_size", "n_samples", "steps_float", "n_samples_float",
             "n_layers_float", "batch_size_float", "seed_float", "seed_bool", "init_kappa_bool",
-            "lambda_entail_bool", "patch_grid_float", "mlp_dim_zero", "max_len_below_caption"])
+            "lambda_entail_bool", "patch_grid_float", "mlp_dim_zero", "max_len_below_caption",
+            "init_kappa_zero", "init_kappa_negative"])
     def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -297,6 +301,21 @@ class TestExitCodes:
         assert "not a hyperlift checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("meta", [
+        {}, {"format_version": 1},
+        {"format_version": 1, "kind": "adapted", "seed": 0, "text_cfg": {"bogus": 1},
+         "vision_cfg": {}, "peft": {}},
+        [1],
+    ], ids=["empty", "no_kind", "unknown_text_cfg_key", "list"])
+    def test_malformed_checkpoint_metadata_exits_3(self, tmp_path, capsys, meta):
+        path = tmp_path / "bad.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        report = tmp_path / "rep.json"
+        assert main(["eval", "--checkpoint", str(path), "--vqa", str(tmp_path / "vqa.jsonl"),
+                     "--report", str(report)]) == 3
+        assert f"{path} has malformed '__meta__' metadata" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("command", ["eval", "adapt"])
     def test_truncated_checkpoint_exits_3(self, config_path, tmp_path, capsys, command):
         assert main(["pretrain", "--config", config_path, "--out", str(tmp_path),
@@ -394,7 +413,7 @@ class TestPipeline:
             emb = model.embed_batch(batcher.gather(np.arange(len(corpus))))
             kappa = model.manifold.kappa
             inside = (exterior_angle(emb.text, emb.image, kappa).data
-                      <= half_aperture(emb.text, kappa, LossConfig().cone).data)
+                      <= half_aperture(emb.text, kappa, LossConfig().cone_k).data)
         assert geo["containment_rate"] == inside.mean()
 
     def test_pretrain_steps_zero_writes_init_checkpoint(self, config_path, tmp_path):

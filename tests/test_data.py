@@ -17,7 +17,6 @@ from hyperlift.data import (
     QUESTION_TEMPLATES,
     SCHEMA_VERSION,
     VOCAB,
-    CompositionalSample,
     Tokenizer,
     VqaItem,
     generate_corpus,

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hyperlift import autograd as ag
-from hyperlift.autograd import Tensor
-from hyperlift.data import PAD_ID, Tokenizer, neftune_noise
+from hyperlift.data import PAD_ID, neftune_noise
 from hyperlift.encoders import DualEncoder, EncoderConfig, trunc_normal
 from hyperlift.peft import PeftConfig, assemble_adapted_model
 from reference import check_gradients, n_trainable, trainable_params

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from hyperlift import autograd as ag
 from hyperlift.autograd import ParamStore, Tensor
 from hyperlift.manifold import (
-    ConeParams,
     DegenerateInputError,
     ManifoldParams,
     exp_map_origin,
@@ -25,7 +24,6 @@ from hyperlift.manifold import (
     lorentz_inner,
     lorentz_radius,
     pairwise_geodesic_distance,
-    time_from_space,
 )
 from reference import MANIFOLD_ATOL, check_gradients, exp_map_general, trainable_params
 
@@ -247,22 +245,22 @@ class TestDistance:
 
 class TestCones:
     def test_half_aperture_saturates_near_origin(self):
-        kappa, cone = 1.0, ConeParams(boundary_const=0.1)
+        kappa, cone_k = 1.0, 0.1
         near = exp_map_origin(np.array([[1e-3, 0.0]]), kappa)
-        psi = half_aperture(near, kappa, cone).data
+        psi = half_aperture(near, kappa, cone_k).data
         np.testing.assert_allclose(psi, np.pi / 2)
 
     def test_half_aperture_monotone_in_radius(self):
-        kappa, cone = 1.0, ConeParams()
+        kappa, cone_k = 1.0, 0.1
         radii = np.linspace(0.3, 4.0, 30)
         pts = exp_map_origin(radii[:, None] * np.array([1.0, 0.0]), kappa)
-        psi = half_aperture(pts, kappa, cone).data
+        psi = half_aperture(pts, kappa, cone_k).data
         assert (np.diff(psi) < 0).all()
 
     def test_half_aperture_longdouble_oracle(self):
         kappa, k = 2.0, 0.25
         x = random_points(1, 3, kappa, scale=2.0)[0]
-        psi = half_aperture(Tensor(x), kappa, ConeParams(boundary_const=k)).item()
+        psi = half_aperture(Tensor(x), kappa, k).item()
         snorm = np.sqrt((x[:-1].astype(np.longdouble) ** 2).sum())
         ref = np.arcsin(min(np.longdouble(1.0), 2 * k / (np.sqrt(np.longdouble(kappa)) * snorm)))
         np.testing.assert_allclose(psi, float(ref), rtol=1e-12)
@@ -306,23 +304,23 @@ class TestCones:
 
     def test_child_on_outward_axis_is_contained(self):
         # pushing a point further out along its own ray keeps it inside the cone
-        kappa, cone = 1.0, ConeParams()
+        kappa, cone_k = 1.0, 0.1
         vdir = np.array([[1.0, 0.5, -0.3]]) / np.linalg.norm([1.0, 0.5, -0.3])
         parent = exp_map_origin(1.0 * vdir, kappa)
         child = exp_map_origin(2.5 * vdir, kappa)
         ext = exterior_angle(parent, child, kappa).item()
-        psi = half_aperture(parent, kappa, cone).item()
+        psi = half_aperture(parent, kappa, cone_k).item()
         assert ext <= psi
         assert ext < 1e-5
 
     def test_child_behind_parent_is_excluded(self):
         # a child between parent and origin sits opposite the outward axis
-        kappa, cone = 1.0, ConeParams()
+        kappa, cone_k = 1.0, 0.1
         vdir = np.array([[1.0, 0.0]])
         parent = exp_map_origin(2.0 * vdir, kappa)
         child = exp_map_origin(0.5 * vdir, kappa)
         ext = exterior_angle(parent, child, kappa).item()
-        psi = half_aperture(parent, kappa, cone).item()
+        psi = half_aperture(parent, kappa, cone_k).item()
         assert ext > psi
         np.testing.assert_allclose(ext, np.pi, atol=1e-6)
 
@@ -330,12 +328,12 @@ class TestCones:
         store = ParamStore()
         store.add("vx", RNG.standard_normal((3, 4)) * 0.8)
         store.add("vy", RNG.standard_normal((3, 4)) * 0.8)
-        cone = ConeParams()
+        cone_k = 0.1
 
         def f():
             x = exp_map_origin(store["vx"], 1.0)
             y = exp_map_origin(store["vy"], 1.0)
-            gap = exterior_angle(x, y, 1.0) - half_aperture(x, 1.0, cone)
+            gap = exterior_angle(x, y, 1.0) - half_aperture(x, 1.0, cone_k)
             return ag.relu(gap).sum()
 
         assert check_gradients(f, trainable_params(store), n_probes=24, seed=4).passed
@@ -368,10 +366,6 @@ class TestValidatedTypes:
         TangentVector(np.array([0.1, 0.2, 0.3, 0.0]), p)  # tangent at origin
         with pytest.raises(ValueError):
             TangentVector(np.array([0.1, 0.2, 0.3, 1.0]), p)
-
-    def test_cone_params_validation(self):
-        with pytest.raises(ValueError):
-            ConeParams(boundary_const=0.0)
 
 
 class TestManifoldParams:

@@ -8,19 +8,20 @@ import pytest
 
 from hyperlift import autograd as ag
 from hyperlift.autograd import ParamStore, Tensor
-from hyperlift.manifold import ConeParams, ManifoldParams, exp_map_origin, lift
+from hyperlift.manifold import ManifoldParams, exp_map_origin, lift
 from hyperlift.objectives import (
     BatchEmbeddings,
-    DEFAULT_ENTAILMENT_PAIRS,
     LossConfig,
     contrastive_hcc,
     entailment_hce,
+    entailment_hinges,
     entailment_violation,
     total_loss,
 )
 from reference import check_gradients, trainable_params
 
 KAPPA = Tensor(1.0)
+CONE_K = 0.1
 TAU1 = Tensor(1.0)
 
 
@@ -93,13 +94,13 @@ class TestEntailment:
     def test_contained_child_has_zero_violation(self):
         parent = geodesic_points([1.0])
         child = geodesic_points([2.5])  # same ray, further out
-        v = entailment_violation(parent, child, KAPPA, ConeParams()).data
+        v = entailment_violation(parent, child, KAPPA, CONE_K).data
         np.testing.assert_allclose(v, 0.0)
 
     def test_opposite_child_violates(self):
         parent = geodesic_points([1.5], direction=(1.0, 0.0))
         child = geodesic_points([1.5], direction=(-1.0, 0.0))
-        v = entailment_violation(parent, child, KAPPA, ConeParams()).data
+        v = entailment_violation(parent, child, KAPPA, CONE_K).data
         assert v > 0.5
 
     def test_violation_decreases_as_child_enters_cone(self):
@@ -108,7 +109,7 @@ class TestEntailment:
         vios = []
         for theta in angles:
             child = geodesic_points([2.5], direction=(np.cos(theta), np.sin(theta)))
-            vios.append(entailment_violation(parent, child, KAPPA, ConeParams()).item())
+            vios.append(entailment_violation(parent, child, KAPPA, CONE_K).item())
         assert all(a >= b - 1e-12 for a, b in zip(vios, vios[1:]))
         assert vios[0] > 0 and vios[-1] == 0  # on-axis child is inside
 
@@ -117,7 +118,7 @@ class TestEntailment:
         parent = Tensor(np.concatenate([origin.data, geodesic_points([1.0]).data]))
         child = geodesic_points([0.5, 2.0])
         with caplog.at_level(logging.WARNING):
-            v = entailment_violation(parent, child, KAPPA, ConeParams())
+            v = entailment_violation(parent, child, KAPPA, CONE_K)
         assert "origin" in caplog.text
         assert v.shape == (1,)  # only the non-degenerate pair remains
 
@@ -125,7 +126,7 @@ class TestEntailment:
         origin = Tensor(np.array([[0.0, 0.0, 1.0]]))
         child = geodesic_points([1.0])
         with caplog.at_level(logging.WARNING):
-            v = entailment_violation(origin, child, KAPPA, ConeParams())
+            v = entailment_violation(origin, child, KAPPA, CONE_K)
         assert v.item() == 0.0
 
     def test_hce_broadcasts_scene_rows_per_box(self):
@@ -139,6 +140,22 @@ class TestEntailment:
         out = entailment_hce(batch, KAPPA, LossConfig())
         assert out.shape == ()
         assert out.item() >= 0
+
+    def test_scene_parent_repeats_once_per_box(self):
+        # ["text", "image_box"]: box j's image point against its scene's text point
+        rng = np.random.default_rng(11)
+        scene_txt = Tensor(exp_map_origin(rng.standard_normal((2, 3)), 1.0).data)
+        box_img = Tensor(exp_map_origin(rng.standard_normal((4, 3)) * 2.0, 1.0).data)
+        box_parent = np.array([1, 0, 0, 1])
+        batch = batch_from(scene_txt, scene_txt, box_img, box_img, box_parent=box_parent)
+        config = LossConfig(entailment_pairs=(("text", "image_box"),))
+        [hinge] = entailment_hinges(batch, KAPPA, config)
+        assert hinge.shape == (4,)
+        for j, parent in enumerate(box_parent):
+            one = entailment_violation(scene_txt[[parent]], box_img[[j]], KAPPA, config.cone_k)
+            assert hinge.data[j] == one.item(), j
+        assert len(set(hinge.data)) == 4  # a wrong parent row would show
+        assert entailment_hce(batch, KAPPA, config).item() == hinge.mean().item()
 
     def test_configurable_pair_set(self):
         pts = geodesic_points([1.0, 2.0])
